@@ -50,40 +50,6 @@ pub fn assert_same_quality(
     );
 }
 
-/// The quality contract between *different solver trajectories* (e.g. the
-/// batch-parallel schedule vs the serial one): both are equally valid FPTAS
-/// runs, so each only promises the *configured* gap — unlike
-/// [`assert_same_quality`], the baseline happening to land an (essentially)
-/// exact result must not tighten the requirement on the other trajectory.
-/// Checks: the new gap is within the configured target (plus the baseline's
-/// own slack), brackets overlap, and feasible values agree to twice the
-/// target gap.
-///
-/// # Panics
-/// Panics with `name` in the message when any check fails.
-pub fn assert_quality_within_target(
-    name: &str,
-    cfg: &FleischerConfig,
-    new: ThroughputBounds,
-    old: ThroughputBounds,
-) {
-    assert!(
-        new.gap() <= old.gap().max(cfg.target_gap) + 0.01,
-        "{name}: trajectory exceeded the configured gap: new {new:?} vs baseline {old:?} \
-         (target_gap {})",
-        cfg.target_gap
-    );
-    assert!(
-        new.lower <= old.upper * (1.0 + 1e-9) && old.lower <= new.upper * (1.0 + 1e-9),
-        "{name}: trajectory brackets do not overlap: new {new:?} vs baseline {old:?}"
-    );
-    let rel = (new.lower - old.lower).abs() / old.lower.max(1e-12);
-    assert!(
-        rel <= 2.0 * cfg.target_gap,
-        "{name}: feasible values diverged by {rel:.4}: new {new:?} vs baseline {old:?}"
-    );
-}
-
 #[cfg(test)]
 mod tests {
     #[test]

@@ -6,8 +6,8 @@ use crate::stats::Stats;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use tb_flow::{
-    drop_disconnected_demands, ExactLpSolver, FleischerConfig, FleischerSolver, SolveStats,
-    SolveStatus, SolverWorkspace, ThroughputBounds, ThroughputCertificate, WarmGate, WarmStart,
+    drop_disconnected_demands, ExactLpSolver, FleischerConfig, FleischerSolver, SolveStatus,
+    SolverWorkspace, ThroughputBounds, ThroughputCertificate,
 };
 use tb_topology::jellyfish::same_equipment;
 use tb_topology::Topology;
@@ -26,19 +26,9 @@ pub struct EvalConfig {
     pub random_graph_iterations: usize,
     /// Base RNG seed; every randomized step derives from it deterministically.
     pub seed: u64,
-    /// Solver-level parallelism: with `> 1`, a single FPTAS solve runs
-    /// batch-parallel MWU phases (sources sharded into fixed-order batches
-    /// that route concurrently against per-epoch length snapshots; see
-    /// `tb_flow::fleischer`). **Orthogonal to the sweep engine's cell-level
-    /// `--jobs`**: that knob splits *cells* across workers, this one splits
-    /// *one solve*. Only the on/off decision affects values (the batch size
-    /// is auto-picked from the instance; the worker count never changes
-    /// results — bit-identity is test-enforced), but turning batching on
-    /// switches to a different `(1+eps)`-sound trajectory, so this field is
-    /// part of the cell cache key — keep it normalized (1 = serial,
-    /// anything-else = batched; `SweepOptions::eval_config` normalizes to 2)
-    /// or distinct values will recompute byte-identical cells. Default 1 =
-    /// the classical serial trajectory.
+    /// Always 1 and read by nothing in the workspace: the FPTAS has a single
+    /// serial trajectory. The field remains only because the benchmark
+    /// replica under `perfbench/` still reads it.
     pub solver_jobs: usize,
     /// Emit optimality certificates for throughput cells (see
     /// [`evaluate_throughput_certified_with`]). Capture is
@@ -47,13 +37,9 @@ pub struct EvalConfig {
     /// and artifacts, so the flag is part of the cell cache key. Default off:
     /// committed goldens stay byte-identical.
     pub certify: bool,
-    /// Warm-start chaining (`--warm`, opt-in): thread `tb_flow::WarmStart`
-    /// artifacts through relative-throughput samples and ladder-adjacent
-    /// cells, so near-identical solves reuse the previous MWU length shape
-    /// instead of the cold delta init. Warm solves run a **different
-    /// (gate-checked) trajectory**, so this flag is part of the cell cache
-    /// key — warm and cold cells never alias — and `--write-golden` rejects
-    /// it. Default off: committed goldens stay byte-identical.
+    /// Always `false` and read by nothing in the workspace: every solve
+    /// starts cold. The field remains only because the benchmark replica
+    /// under `perfbench/` still reads it.
     pub warm: bool,
 }
 
@@ -125,65 +111,13 @@ pub fn evaluate_throughput_with(
             return guard_finite(exact, topo);
         }
     }
-    // Auto-pick the dense-TM aggregation threshold from the graph size and
-    // (when solver-level jobs were requested) the work-stealing MWU batch
-    // configuration from the TM shape — skewed TMs get the quarter-size
-    // batch plus the serial-tail drain; explicit overrides in `cfg.solver`
-    // win for both. Only degenerate TMs (too few flows, or one commodity
-    // carrying most of the volume) stay serial (see `with_auto_batching`).
-    let solver_cfg = cfg
-        .solver
-        .with_auto_aggregation(topo.num_switches())
-        .with_auto_batching(tm, cfg.solver_jobs);
+    // Auto-pick the dense-TM aggregation threshold from the graph size; an
+    // explicit override in `cfg.solver` wins.
+    let solver_cfg = cfg.solver.with_auto_aggregation(topo.num_switches());
     guard_finite(
         FleischerSolver::new(solver_cfg).solve_with(&topo.graph, tm, ws),
         topo,
     )
-}
-
-/// [`evaluate_throughput_with`] with cross-instance warm starts: seeds the
-/// FPTAS from `warm` (a previous solve's length shape, see
-/// `tb_flow::WarmStart`) and returns the artifact extracted from this solve
-/// for the next link of the chain, plus the solve stats whose
-/// [`tb_flow::WarmGate`] records what happened to the seed. `None` is
-/// returned in place of an artifact when the instance took the exact-LP or
-/// trivial path (no MWU state to chain) — the next solve then starts cold.
-///
-/// With `warm: None` the solved bounds are bit-identical to
-/// [`evaluate_throughput_with`]; with a seed the solve runs a different —
-/// still gate-checked, still correctly bracketing — trajectory, which is why
-/// [`EvalConfig::warm`] participates in the cell cache key.
-pub fn evaluate_throughput_warm_with(
-    topo: &Topology,
-    tm: &TrafficMatrix,
-    cfg: &EvalConfig,
-    ws: &mut SolverWorkspace,
-    warm: Option<&WarmStart>,
-) -> (ThroughputBounds, Option<WarmStart>, SolveStats) {
-    let trivial_stats = SolveStats {
-        converged: true,
-        ..SolveStats::default()
-    };
-    if tm.num_flows() == 0 {
-        return (
-            guard_finite(ThroughputBounds::exact(0.0), topo),
-            None,
-            trivial_stats,
-        );
-    }
-    let small = topo.num_switches() <= cfg.exact_switch_limit && tm.num_flows() <= 64;
-    if small {
-        if let Ok(exact) = ExactLpSolver::new().solve(&topo.graph, tm) {
-            return (guard_finite(exact, topo), None, trivial_stats);
-        }
-    }
-    let solver_cfg = cfg
-        .solver
-        .with_auto_aggregation(topo.num_switches())
-        .with_auto_batching(tm, cfg.solver_jobs);
-    let (bounds, stats, warm_out) =
-        FleischerSolver::new(solver_cfg).solve_warm_with_stats(&topo.graph, tm, ws, warm);
-    (guard_finite(bounds, topo), Some(warm_out), stats)
 }
 
 /// [`evaluate_throughput_with`] with full evidence: additionally returns the
@@ -216,10 +150,7 @@ pub fn evaluate_throughput_certified_with(
             return (guard_finite(exact, topo), SolveStatus::Converged, cert);
         }
     }
-    let solver_cfg = cfg
-        .solver
-        .with_auto_aggregation(topo.num_switches())
-        .with_auto_batching(tm, cfg.solver_jobs);
+    let solver_cfg = cfg.solver.with_auto_aggregation(topo.num_switches());
     let (bounds, stats, cert) =
         FleischerSolver::new(solver_cfg).solve_with_certificate(&topo.graph, tm, ws, true);
     let status = if stats.converged {
@@ -304,10 +235,7 @@ pub fn evaluate_throughput_status_with(
             );
         }
     }
-    let solver_cfg = cfg
-        .solver
-        .with_auto_aggregation(topo.num_switches())
-        .with_auto_batching(&kept_tm, cfg.solver_jobs);
+    let solver_cfg = cfg.solver.with_auto_aggregation(topo.num_switches());
     let outcome = FleischerSolver::new(solver_cfg).solve_outcome_with(&topo.graph, &kept_tm, ws);
     // Dropped demands take precedence in the reported status (the outcome's
     // own drop count is zero — `kept_tm` is connectivity-filtered already);
@@ -364,21 +292,7 @@ pub struct RelativeThroughput {
 ///
 /// The TM is re-generated for each graph from `spec` (near-worst-case traffic
 /// is worst-case *for that graph*); pass [`TmSpec::AllToAll`] etc. as needed.
-/// Auto-pick for seeding the same-equipment *samples* of a warm
-/// relative-throughput path from the chain. Measured a loss and kept off:
-/// each sample is a different random graph, and cross-graph transfer fails
-/// its gates often enough that the bounded reset overhead dominates —
-/// `rel_warm_jellyfish64_lm` vs `rel_cold_jellyfish64_lm` in
-/// `BENCH_solver.json` read 601 ms vs 417 ms (interleaved min-of-10) with
-/// seeding on. The serial sample order and the chain plumbing stay, so
-/// flipping this re-measures in one line; the absolute solve's rung-to-rung
-/// seeding (same graph, measured winner) is unaffected.
-const WARM_SAMPLE_SEEDING: bool = false;
-
 pub fn relative_throughput(topo: &Topology, spec: &TmSpec, cfg: &EvalConfig) -> RelativeThroughput {
-    if cfg.warm {
-        return relative_throughput_warm(topo, spec, cfg, None).0;
-    }
     let tm = spec.generate(topo, cfg.seed);
     let absolute = evaluate_throughput(topo, &tm, cfg).value();
 
@@ -404,60 +318,6 @@ pub fn relative_throughput(topo: &Topology, spec: &TmSpec, cfg: &EvalConfig) -> 
     }
 }
 
-/// The warm-chained form of [`relative_throughput`]: the absolute solve is
-/// seeded from `warm` (the previous ladder rung's artifact, if any), and the
-/// same-equipment samples then run **serially in index order** — the serial
-/// order keeps the path bit-identical at any worker count by construction.
-/// Same seeds, same instances as the cold path. Returns the *absolute*
-/// solve's artifact for the next rung of the ladder (the family instance,
-/// not a random-graph sample, is what the next rung resembles) and the
-/// absolute solve's [`WarmGate`] so chain runners can see whether the seed
-/// engaged or was reset (and stop warming a losing chain).
-///
-/// Whether the samples themselves are *seeded* along the chain is the
-/// [`WARM_SAMPLE_SEEDING`] auto-pick (measured off): each sample is a
-/// different random graph, and cross-graph transfer measured a loss.
-pub fn relative_throughput_warm(
-    topo: &Topology,
-    spec: &TmSpec,
-    cfg: &EvalConfig,
-    warm: Option<&WarmStart>,
-) -> (RelativeThroughput, Option<WarmStart>, WarmGate) {
-    let tm = spec.generate(topo, cfg.seed);
-    let mut ws = SolverWorkspace::new();
-    let (abs_bounds, abs_warm, abs_stats) =
-        evaluate_throughput_warm_with(topo, &tm, cfg, &mut ws, warm);
-    let absolute = abs_bounds.value();
-    let iters = cfg.random_graph_iterations.max(1);
-    let mut chain = if WARM_SAMPLE_SEEDING {
-        abs_warm.clone()
-    } else {
-        None
-    };
-    let mut samples = Vec::with_capacity(iters);
-    for i in 0..iters {
-        let seed = cfg.seed.wrapping_add(1000).wrapping_add(i as u64);
-        let rnd = same_equipment(topo, seed);
-        let rnd_tm = spec.generate(&rnd, seed);
-        let (b, w, _) = evaluate_throughput_warm_with(&rnd, &rnd_tm, cfg, &mut ws, chain.as_ref());
-        samples.push(b.value());
-        chain = if WARM_SAMPLE_SEEDING { w } else { None };
-    }
-    let ratios: Vec<f64> = samples
-        .iter()
-        .map(|&r| if r > 0.0 { absolute / r } else { f64::INFINITY })
-        .collect();
-    (
-        RelativeThroughput {
-            absolute,
-            random_graph_samples: samples,
-            relative: Stats::from_samples(&ratios),
-        },
-        abs_warm,
-        abs_stats.warm_gate,
-    )
-}
-
 /// Computes relative throughput for a *fixed* TM (real-world workloads of
 /// Figs 13–14): the same matrix is applied to the topology and to every
 /// same-equipment random graph.
@@ -466,9 +326,6 @@ pub fn relative_throughput_fixed_tm(
     tm: &TrafficMatrix,
     cfg: &EvalConfig,
 ) -> RelativeThroughput {
-    if cfg.warm {
-        return relative_throughput_fixed_tm_warm(topo, tm, cfg, None).0;
-    }
     let absolute = evaluate_throughput(topo, tm, cfg).value();
     let iters = cfg.random_graph_iterations.max(1);
     let samples: Vec<f64> = (0..iters)
@@ -488,48 +345,6 @@ pub fn relative_throughput_fixed_tm(
         random_graph_samples: samples,
         relative: Stats::from_samples(&ratios),
     }
-}
-
-/// The warm-chained form of [`relative_throughput_fixed_tm`]: same serial
-/// sample chain as [`relative_throughput_warm`], same seeds and instances as
-/// the cold path, same `(result, artifact, absolute-solve gate)` contract.
-pub fn relative_throughput_fixed_tm_warm(
-    topo: &Topology,
-    tm: &TrafficMatrix,
-    cfg: &EvalConfig,
-    warm: Option<&WarmStart>,
-) -> (RelativeThroughput, Option<WarmStart>, WarmGate) {
-    let mut ws = SolverWorkspace::new();
-    let (abs_bounds, abs_warm, abs_stats) =
-        evaluate_throughput_warm_with(topo, tm, cfg, &mut ws, warm);
-    let absolute = abs_bounds.value();
-    let iters = cfg.random_graph_iterations.max(1);
-    let mut chain = if WARM_SAMPLE_SEEDING {
-        abs_warm.clone()
-    } else {
-        None
-    };
-    let mut samples = Vec::with_capacity(iters);
-    for i in 0..iters {
-        let seed = cfg.seed.wrapping_add(2000).wrapping_add(i as u64);
-        let rnd = same_equipment(topo, seed);
-        let (b, w, _) = evaluate_throughput_warm_with(&rnd, tm, cfg, &mut ws, chain.as_ref());
-        samples.push(b.value());
-        chain = if WARM_SAMPLE_SEEDING { w } else { None };
-    }
-    let ratios: Vec<f64> = samples
-        .iter()
-        .map(|&r| if r > 0.0 { absolute / r } else { f64::INFINITY })
-        .collect();
-    (
-        RelativeThroughput {
-            absolute,
-            random_graph_samples: samples,
-            relative: Stats::from_samples(&ratios),
-        },
-        abs_warm,
-        abs_stats.warm_gate,
-    )
 }
 
 #[cfg(test)]

@@ -7,9 +7,8 @@
 //! cache key is derived from `(spec, eval config)` and nothing else.
 
 use crate::eval::{
-    evaluate_throughput_certified_with, evaluate_throughput_status_with,
-    evaluate_throughput_warm_with, evaluate_throughput_with, relative_throughput,
-    relative_throughput_fixed_tm, relative_throughput_warm, EvalConfig,
+    evaluate_throughput_certified_with, evaluate_throughput_status_with, evaluate_throughput_with,
+    relative_throughput, relative_throughput_fixed_tm, EvalConfig,
 };
 use crate::spec::TmSpec;
 use crate::stats::Stats;
@@ -18,7 +17,7 @@ use crate::sweep::topo::TopoSpec;
 use tb_cuts::{estimate_sparsest_cut, ALL_ESTIMATORS};
 use tb_flow::restricted::{k_shortest_path_sets, PathRestrictedSolver, SubflowCountingEstimator};
 use tb_flow::ThroughputCertificate;
-use tb_flow::{SolveStatus, SolverWorkspace, WarmGate, WarmStart};
+use tb_flow::{SolveStatus, SolverWorkspace};
 use tb_graph::shortest_path::average_path_length;
 use tb_topology::faults::{apply_faults, FaultPlan};
 use tb_topology::jellyfish::same_equipment;
@@ -125,10 +124,8 @@ pub enum CellSpec {
     /// Topology-design search: a deterministic hill climb over same-equipment
     /// neighbors of `start` (Jellyfish server/network port split, HyperX
     /// target bisection, Long Hop link budget), maximizing throughput per
-    /// unit equipment cost. The whole climb runs inside one cell so the
-    /// incumbent's warm artifact can seed every neighbor evaluation when the
-    /// run is warm (`EvalConfig::warm`); cold runs evaluate every candidate
-    /// from scratch and are bit-identical to the committed golden.
+    /// unit equipment cost. The whole climb runs inside one cell, evaluating
+    /// every candidate from scratch.
     Search {
         /// Starting design.
         start: TopoSpec,
@@ -508,9 +505,6 @@ fn search_params(spec: &TopoSpec) -> String {
 /// The deterministic hill climb behind [`CellSpec::Search`]. Evaluates the
 /// start design, then repeatedly moves to the best strictly-improving
 /// neighbor until no neighbor improves or `max_steps` moves were accepted.
-/// When the run is warm every candidate solve is seeded from the incumbent's
-/// warm artifact (neighbors are near-copies of the incumbent, so its length
-/// shape is the natural prior); cold runs solve every candidate from scratch.
 fn run_search(
     start: &TopoSpec,
     tm: &TmSpec,
@@ -521,62 +515,38 @@ fn run_search(
     out: &mut CellValues,
 ) {
     let mut evals = 0usize;
-    let mut warm_engaged = 0usize;
-    let mut evaluate = |spec: &TopoSpec,
-                        seed_from: Option<&WarmStart>,
-                        evals: &mut usize,
-                        warm_engaged: &mut usize|
-     -> Option<(f64, f64, Option<WarmStart>)> {
+    let mut evaluate = |spec: &TopoSpec| -> Option<(f64, f64)> {
         let topo = spec.build()?;
         let matrix = tm.generate(&topo, tm_seed);
-        let chain = if cfg.warm { seed_from } else { None };
-        let (bounds, warm_out, stats) =
-            evaluate_throughput_warm_with(&topo, &matrix, cfg, ws, chain);
-        *evals += 1;
-        if matches!(
-            stats.warm_gate,
-            tb_flow::WarmGate::Engaged | tb_flow::WarmGate::EngagedProjected
-        ) {
-            *warm_engaged += 1;
-        }
-        Some((
-            bounds.value(),
-            search_objective(&topo, bounds.value()),
-            warm_out,
-        ))
+        let value = evaluate_throughput_with(&topo, &matrix, cfg, ws).value();
+        evals += 1;
+        Some((value, search_objective(&topo, value)))
     };
 
     let mut incumbent = start.clone();
-    let (start_value, start_objective, mut incumbent_warm) =
-        evaluate(&incumbent, None, &mut evals, &mut warm_engaged)
-            .unwrap_or_else(|| panic!("unsatisfiable search start {start:?}"));
+    let (start_value, start_objective) =
+        evaluate(&incumbent).unwrap_or_else(|| panic!("unsatisfiable search start {start:?}"));
     let mut value = start_value;
     let mut objective = start_objective;
     let mut accepted = 0usize;
     out.push("step_0_objective", objective);
     out.push_text("step_0_params", search_params(&incumbent));
     while accepted < max_steps {
-        let mut best: Option<(TopoSpec, f64, f64, Option<WarmStart>)> = None;
+        let mut best: Option<(TopoSpec, f64, f64)> = None;
         for neighbor in search_neighbors(&incumbent) {
-            let Some((v, obj, w)) = evaluate(
-                &neighbor,
-                incumbent_warm.as_ref(),
-                &mut evals,
-                &mut warm_engaged,
-            ) else {
+            let Some((v, obj)) = evaluate(&neighbor) else {
                 continue; // unsatisfiable neighbor (e.g. no HyperX design)
             };
-            if obj > objective && best.as_ref().is_none_or(|(_, _, b, _)| obj > *b) {
-                best = Some((neighbor, v, obj, w));
+            if obj > objective && best.as_ref().is_none_or(|(_, _, b)| obj > *b) {
+                best = Some((neighbor, v, obj));
             }
         }
-        let Some((next, v, obj, w)) = best else {
+        let Some((next, v, obj)) = best else {
             break; // local optimum
         };
         incumbent = next;
         value = v;
         objective = obj;
-        incumbent_warm = w;
         accepted += 1;
         out.push(format!("step_{accepted}_objective"), objective);
         out.push_text(format!("step_{accepted}_params"), search_params(&incumbent));
@@ -587,9 +557,6 @@ fn run_search(
     out.push("final_objective", objective);
     out.push("steps_accepted", accepted as f64);
     out.push("evals", evals as f64);
-    if cfg.warm {
-        out.push("warm_engaged", warm_engaged as f64);
-    }
     out.push_text("final_params", search_params(&incumbent));
     out.push_text("final_spec", format!("{incumbent:?}"));
 }
@@ -599,109 +566,6 @@ impl CellSpec {
     /// cells on the same worker; results are identical to a fresh workspace.
     pub fn compute(&self, cfg: &EvalConfig, ws: &mut SolverWorkspace) -> CellValues {
         self.compute_attempt(cfg, ws, 0)
-    }
-
-    /// The warm-chaining identity of this cell: `Some((chain, rung))` when
-    /// the cell is a throughput or relative-throughput computation along a
-    /// recognized problem ladder. Cells sharing a chain key are executed
-    /// serially by the warm runner in rung order, each solve seeded from the
-    /// previous rung's warm artifact; everything else runs independently.
-    ///
-    /// Two ladder shapes are recognized, checked in order:
-    /// 1. **Skew-fraction ladders** — the same topology under
-    ///    [`TmSpec::SkewedLongestMatching`] at a sequence of fractions (the
-    ///    Fig-12 x-axis). The rung is the fraction; adjacent fractions on one
-    ///    graph are the closest problem pairs the sweeps produce and the only
-    ///    chains measured to win (FatTree; see ROADMAP).
-    /// 2. **Cross-size topo ladders** — [`TopoSpec::Ladder`] rungs of one
-    ///    family under any other TM. Kept chainable so the ordering machinery
-    ///    stays exercised and re-measurable, but the runner's same-graph
-    ///    auto-pick (see [`CellSpec::warm_topo`]) runs every rung cold:
-    ///    cross-size projection measured a loss on all ten families
-    ///    (`batch_probe`'s ladder-chain sweep; ROADMAP records the numbers).
-    pub fn warm_chain_key(&self) -> Option<(String, usize)> {
-        let (topo, tm, tag) = match self {
-            CellSpec::Throughput { topo, tm, tm_seed } => (topo, tm, format!("tput|{tm_seed}")),
-            CellSpec::Relative { topo, tm } => (topo, tm, "rel".to_string()),
-            _ => return None,
-        };
-        if let TmSpec::SkewedLongestMatching { fraction, weight } = tm {
-            return Some((
-                format!("skew|{topo:?}|w{weight}|{tag}"),
-                (fraction * 1e6).round() as usize,
-            ));
-        }
-        match topo {
-            TopoSpec::Ladder {
-                family,
-                scale,
-                index,
-                seed,
-            } => Some((format!("{family:?}|{scale:?}|{seed}|{tm:?}|{tag}"), *index)),
-            _ => None,
-        }
-    }
-
-    /// The topology spec a warm-chained solve runs on, for the runner's
-    /// same-graph auto-pick: an artifact only seeds the next chain member
-    /// when both cells build the *same* graph. Same-graph pairs (the
-    /// skew-fraction ladders) are the measured winners; cross-size projection
-    /// lost on every family probed (`batch_probe`'s ladder-chain sweep), so
-    /// donors from a different spec are dropped and the member runs cold.
-    pub fn warm_topo(&self) -> Option<&TopoSpec> {
-        match self {
-            CellSpec::Throughput { topo, .. } | CellSpec::Relative { topo, .. } => Some(topo),
-            _ => None,
-        }
-    }
-
-    /// [`compute_attempt`](Self::compute_attempt) with cross-cell warm
-    /// chaining: consumes the previous chain member's warm artifact and
-    /// returns this cell's own for the next one, plus the solve's
-    /// [`WarmGate`] so the runner's break-on-reset policy can stop seeding a
-    /// chain the gates have judged a loser. Only uncertified throughput cells
-    /// and relative-throughput cells participate; every other spec falls
-    /// through to the plain computation and breaks the chain (returning
-    /// `None` restarts the next member cold).
-    pub fn compute_attempt_warm(
-        &self,
-        cfg: &EvalConfig,
-        ws: &mut SolverWorkspace,
-        attempt: usize,
-        warm: Option<&WarmStart>,
-    ) -> (CellValues, Option<WarmStart>, WarmGate) {
-        let mut out = CellValues::default();
-        match self {
-            CellSpec::Throughput { topo, tm, tm_seed } if !cfg.certify => {
-                let topo = build_topo(topo);
-                let matrix = tm.generate(&topo, *tm_seed);
-                let (bounds, warm_out, stats) =
-                    evaluate_throughput_warm_with(&topo, &matrix, cfg, ws, warm);
-                out.push("lower", bounds.lower);
-                out.push("upper", bounds.upper);
-                out.push_text("tm_fp", format!("{:016x}", matrix.fingerprint()));
-                out.push_text("warm_gate", format!("{:?}", stats.warm_gate));
-                (out, warm_out, stats.warm_gate)
-            }
-            CellSpec::Relative { topo, tm } => {
-                let topo = build_topo(topo);
-                let (r, warm_out, gate) = relative_throughput_warm(&topo, tm, cfg, warm);
-                out.push("absolute", r.absolute);
-                out.push("rel_mean", r.relative.mean);
-                out.push("rel_std", r.relative.std_dev);
-                out.push("rel_ci95", r.relative.ci95);
-                for (i, s) in r.random_graph_samples.iter().enumerate() {
-                    out.push(format!("sample_{i}"), *s);
-                }
-                out.push_text("warm_gate", format!("{gate:?}"));
-                (out, warm_out, gate)
-            }
-            _ => (
-                self.compute_attempt(cfg, ws, attempt),
-                None,
-                WarmGate::Unset,
-            ),
-        }
     }
 
     /// [`compute`](Self::compute) with an execution-attempt index, passed by

@@ -14,7 +14,7 @@ use crate::sweep::cell::{CellValues, SweepCell};
 use rayon::prelude::*;
 use std::collections::HashMap;
 use std::path::PathBuf;
-use tb_flow::{SolverWorkspace, WarmGate, WarmStart};
+use tb_flow::SolverWorkspace;
 use tb_topology::families::Scale;
 
 /// Options shared by every cell of a sweep run.
@@ -35,28 +35,12 @@ pub struct SweepOptions {
     pub cache_dir: PathBuf,
     /// If set, only run cells whose id contains this substring.
     pub filter: Option<String>,
-    /// Solver-level parallelism (`EvalConfig::solver_jobs`): `Some(n > 1)`
-    /// makes each FPTAS solve run batch-parallel MWU phases. Orthogonal to
-    /// [`jobs`](SweepOptions::jobs), which splits *cells* across workers —
-    /// this splits *one solve*. The batched trajectory's values differ from
-    /// serial, so the on/off decision keys the cache
-    /// ([`eval_config`](SweepOptions::eval_config) normalizes the count —
-    /// all `n > 1` share one key). `None` defaults to 1 (serial).
-    pub solver_jobs: Option<usize>,
     /// Emit optimality certificates for throughput cells (`--certify`).
     /// Values are bit-identical either way; certified cells additionally
     /// carry the evidence block through the cache and artifacts (and key
     /// separate cache entries, since the stored payload differs). Off by
     /// default so committed goldens stay byte-identical.
     pub certify: bool,
-    /// Warm-start chaining (`--warm`): ladder-rung cells of one family run
-    /// serially in rung order, each solve seeded from the previous rung's
-    /// warm artifact, and relative-throughput samples chain within a cell.
-    /// Warm trajectories differ from cold ones (guarded by the solver's
-    /// warm-quality gate), so the flag keys the cache
-    /// ([`EvalConfig::warm`]) — warm and cold results never share an entry —
-    /// and committed goldens stay cold.
-    pub warm: bool,
 }
 
 impl SweepOptions {
@@ -69,9 +53,7 @@ impl SweepOptions {
             use_cache: true,
             cache_dir: PathBuf::from("results/cache"),
             filter: None,
-            solver_jobs: None,
             certify: false,
-            warm: false,
         }
     }
 
@@ -92,24 +74,7 @@ impl SweepOptions {
             EvalConfig::fast()
         };
         cfg.seed = self.seed;
-        // Normalized to the trajectory decision (1 = serial, 2 = batched):
-        // cell values depend only on *whether* solver-level parallelism is
-        // on (the auto batch size comes from the instance, the worker count
-        // never affects values), so keying the cache on the raw job count
-        // would recompute byte-identical results for every distinct value.
-        // Deliberate coarseness: cells whose TM never auto-batches
-        // (degenerate shapes the gate keeps serial) still re-key on the
-        // first batched run even though their values are bit-identical to
-        // the serial entries — keying on the per-cell effective decision
-        // would require materializing each TM at key time, which the
-        // expansion-time key derivation cannot do.
-        cfg.solver_jobs = if self.solver_jobs.unwrap_or(1) > 1 {
-            2
-        } else {
-            1
-        };
         cfg.certify = self.certify;
-        cfg.warm = self.warm;
         cfg
     }
 }
@@ -205,41 +170,6 @@ fn compute_isolated(
     }
 }
 
-/// Warm-chained variant of [`compute_isolated`]: threads the previous chain
-/// member's warm artifact in and this cell's artifact out, plus the solve's
-/// [`WarmGate`] for the chain runner's break-on-reset policy. The retry after
-/// a panic reuses the same warm input (panics are deterministic functions of
-/// the cell, not of the warm seed, and keeping the input keeps the retry
-/// result identical to an unretried run). A permanently failed cell returns
-/// no artifact, so the next chain member restarts cold.
-fn compute_isolated_warm(
-    cell: &SweepCell,
-    cfg: &EvalConfig,
-    ws: &mut SolverWorkspace,
-    warm: Option<&WarmStart>,
-) -> (CellValues, Option<WarmStart>, WarmGate, Option<String>) {
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-    match catch_unwind(AssertUnwindSafe(|| {
-        cell.spec.compute_attempt_warm(cfg, ws, 0, warm)
-    })) {
-        Ok((values, warm_out, gate)) => (values, warm_out, gate, None),
-        Err(_) => {
-            *ws = SolverWorkspace::new();
-            eprintln!("warning: cell '{}' panicked; retrying once", cell.id);
-            match catch_unwind(AssertUnwindSafe(|| {
-                cell.spec.compute_attempt_warm(cfg, ws, 1, warm)
-            })) {
-                Ok((values, warm_out, gate)) => (values, warm_out, gate, None),
-                Err(payload) => {
-                    let error = panic_text(payload.as_ref());
-                    eprintln!("warning: cell '{}' failed permanently: {error}", cell.id);
-                    (CellValues::default(), None, WarmGate::Unset, Some(error))
-                }
-            }
-        }
-    }
-}
-
 /// Runs `cells` under `opts`, returning per-cell outcomes in input order.
 pub fn run_cells(opts: &SweepOptions, cells: Vec<SweepCell>) -> SweepReport {
     let cfg = opts.eval_config();
@@ -283,94 +213,7 @@ pub fn run_cells(opts: &SweepOptions, cells: Vec<SweepCell>) -> SweepReport {
         .enumerate()
         .filter_map(|(u, r)| r.is_none().then_some(u))
         .collect();
-    let computed: Vec<(usize, CellValues, Option<String>)> = if cfg.warm {
-        // Warm mode: cells sharing a `warm_chain_key` form one serial unit,
-        // executed in rung order with each solve seeded from the previous
-        // rung's warm artifact; units run in parallel across workers. A chain
-        // with *any* uncached member recomputes in full from rung 0 — warm
-        // artifacts are never cached, so a partial replay would change which
-        // artifact seeds the first missing rung and break the contract that
-        // results are independent of cache state.
-        let mut chain_of_key: HashMap<String, usize> = HashMap::new();
-        let mut chains: Vec<Vec<(usize, usize)>> = Vec::new(); // (rung, u)
-        let mut singles: Vec<usize> = Vec::new();
-        for (u, &cell_idx) in unique_indices.iter().enumerate() {
-            match cells[cell_idx].spec.warm_chain_key() {
-                Some((key, rung)) => {
-                    let next = chains.len();
-                    let c = *chain_of_key.entry(key).or_insert(next);
-                    if c == next {
-                        chains.push(Vec::new());
-                    }
-                    chains[c].push((rung, u));
-                }
-                None => singles.push(u),
-            }
-        }
-        let mut units: Vec<Vec<usize>> = Vec::new();
-        for mut chain in chains {
-            if chain.iter().any(|&(_, u)| results[u].is_none()) {
-                chain.sort();
-                units.push(chain.into_iter().map(|(_, u)| u).collect());
-            }
-        }
-        units.extend(
-            singles
-                .into_iter()
-                .filter(|&u| results[u].is_none())
-                .map(|u| vec![u]),
-        );
-        let run_unit = |ws: &mut SolverWorkspace, unit: &[usize]| {
-            let mut warm: Option<WarmStart> = None;
-            let mut donor: Option<usize> = None;
-            // Break-on-reset: the first gate reset in a chain is evidence the
-            // donor shape does not transfer on this problem sequence, so the
-            // remaining members run cold instead of paying the (bounded but
-            // real) reset overhead once per rung. Auto-pick keeps losers cold.
-            let mut broken = false;
-            let mut done = Vec::with_capacity(unit.len());
-            for &u in unit {
-                let cell_idx = unique_indices[u];
-                // Same-graph auto-pick: a donor artifact only seeds a member
-                // built on the same topology spec. Cross-size projection
-                // measured a loss on every family (`batch_probe`'s
-                // ladder-chain sweep), so topo-ladder chains run cold while
-                // the chain grouping stays in place for re-measurement.
-                let same_graph = donor
-                    .is_some_and(|d| cells[d].spec.warm_topo() == cells[cell_idx].spec.warm_topo());
-                let seed = if broken || !same_graph {
-                    None
-                } else {
-                    warm.as_ref()
-                };
-                let (values, warm_out, gate, error) =
-                    compute_isolated_warm(&cells[cell_idx], &cfg, ws, seed);
-                if matches!(gate, WarmGate::ResetLagging | WarmGate::ResetQuality) {
-                    broken = true;
-                }
-                warm = warm_out;
-                donor = Some(cell_idx);
-                if opts.use_cache && error.is_none() {
-                    cache.store(&keys[cell_idx], &values);
-                }
-                done.push((u, values, error));
-            }
-            done
-        };
-        if opts.jobs == Some(1) {
-            let mut ws = SolverWorkspace::new();
-            units
-                .iter()
-                .flat_map(|unit| run_unit(&mut ws, unit))
-                .collect()
-        } else {
-            let nested: Vec<Vec<_>> = units
-                .par_iter()
-                .map_init(SolverWorkspace::new, |ws, unit| run_unit(ws, unit))
-                .collect();
-            nested.into_iter().flatten().collect()
-        }
-    } else if opts.jobs == Some(1) {
+    let computed: Vec<(usize, CellValues, Option<String>)> = if opts.jobs == Some(1) {
         let mut ws = SolverWorkspace::new();
         missing
             .iter()

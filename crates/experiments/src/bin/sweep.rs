@@ -279,22 +279,6 @@ fn main() {
         eprintln!("error: --write-golden cannot be combined with --filter (partial artifacts are not golden)");
         std::process::exit(2);
     }
-    if write_golden && opts.solver_jobs.unwrap_or(1) > 1 {
-        // Golden artifacts pin the serial solver trajectory; a batched run
-        // (flag or a stray TB_SOLVER_JOBS in the environment) would silently
-        // commit different — equally valid, but non-canonical — values.
-        eprintln!(
-            "error: --write-golden requires the serial solver trajectory \
-             (drop --solver-jobs / unset TB_SOLVER_JOBS)"
-        );
-        std::process::exit(2);
-    }
-    if write_golden && opts.warm {
-        // Same reasoning as --solver-jobs: warm chains take a different
-        // (gate-guarded) trajectory than the canonical cold one.
-        eprintln!("error: --write-golden requires cold solves (drop --warm)");
-        std::process::exit(2);
-    }
 
     let scenarios = if target == "all" {
         registry()

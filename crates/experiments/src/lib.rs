@@ -17,17 +17,6 @@
 //!   the unified JSON artifact `results/<scenario>.json`,
 //! * `--jobs N`   — worker threads for cell execution (`1` forces a fully
 //!   serial run; results are bit-identical either way),
-//! * `--solver-jobs N` — solver-level parallelism (defaults to
-//!   `TB_SOLVER_JOBS`, else 1): with `N > 1` each FPTAS solve runs
-//!   batch-parallel MWU phases. **Orthogonal to `--jobs`**: `--jobs` splits
-//!   *cells* across workers, `--solver-jobs` splits *one solve* — the knob
-//!   for runs dominated by a few huge cells. With `--jobs > 1` the cell pool
-//!   takes precedence (intra-solve fan-out runs inline on the cell worker;
-//!   results are identical either way, only the parallel axis changes).
-//!   Unlike `--jobs`, turning this on switches to a different (equally
-//!   valid) solver trajectory, so it keys new cache entries — one set for
-//!   all `N > 1`, since only the on/off decision affects values — and is
-//!   not for golden runs (`--write-golden` rejects it),
 //! * `--filter S` — run only cells whose id contains `S` (prints a raw cell
 //!   dump instead of the figure tables; artifacts land in
 //!   `results/<scenario>.partial.json`, marked `"partial": true`),
@@ -60,10 +49,6 @@ pub struct RunOptions {
     pub csv: bool,
     /// Worker threads for cell execution (None = all cores).
     pub jobs: Option<usize>,
-    /// Solver-level parallelism (None = `TB_SOLVER_JOBS` env, else 1): with
-    /// more than one solver job, each FPTAS solve runs batch-parallel MWU
-    /// phases. Orthogonal to [`jobs`](RunOptions::jobs) (cells vs one solve).
-    pub solver_jobs: Option<usize>,
     /// Only run cells whose id contains this substring.
     pub filter: Option<String>,
     /// Bypass the on-disk result cache.
@@ -71,12 +56,6 @@ pub struct RunOptions {
     /// Attach optimality certificates to throughput cells (keys new cache
     /// entries; values stay bit-identical to uncertified runs).
     pub certify: bool,
-    /// Warm-start chaining: ladder-rung solves of one family are chained,
-    /// each seeded from the previous rung's final MWU lengths, and
-    /// relative-throughput samples chain within a cell. Keys new cache
-    /// entries (warm trajectories differ from cold ones); not for golden
-    /// runs (`--write-golden` rejects it).
-    pub warm: bool,
 }
 
 impl Default for RunOptions {
@@ -86,11 +65,9 @@ impl Default for RunOptions {
             seed: 1,
             csv: false,
             jobs: None,
-            solver_jobs: None,
             filter: None,
             no_cache: false,
             certify: false,
-            warm: false,
         }
     }
 }
@@ -111,17 +88,10 @@ const COMMON_HELP: &str =
   --seed <N>       base RNG seed (default 1)
   --csv            also write results/<figure>.csv and results/<scenario>.json
   --jobs <N>       worker threads for sweep cells (1 = fully serial; default: all cores)
-  --solver-jobs <N>  parallelism inside each solver call (batch-parallel MWU;
-                   default: TB_SOLVER_JOBS, else 1). Orthogonal to --jobs:
-                   --jobs splits cells, --solver-jobs splits one solve
   --filter <S>     only run cells whose id contains S (prints a raw cell dump)
   --no-cache       do not read or write results/cache/
   --certify        attach optimality certificates to throughput cells (for
                    `sweep verify`; values stay bit-identical, cache keys change)
-  --warm           warm-start chaining: ladder-rung solves of one family are
-                   seeded from the previous rung's MWU lengths (guarded by the
-                   solver's warm-quality gate; keys new cache entries, not for
-                   golden runs)
   --help           print this help";
 
 impl RunOptions {
@@ -137,41 +107,12 @@ impl RunOptions {
     pub fn from_args_with(extra: &[ExtraFlag]) -> (Self, Vec<(String, String)>) {
         let args: Vec<String> = std::env::args().skip(1).collect();
         match Self::try_parse(&args, extra) {
-            Ok(mut parsed) => {
-                // --solver-jobs defaults to the TB_SOLVER_JOBS environment
-                // variable (a hard usage error when set to garbage).
-                if parsed.0.solver_jobs.is_none() {
-                    parsed.0.solver_jobs = solver_jobs_from_env();
-                }
-                let solver_jobs = parsed.0.solver_jobs.unwrap_or(1);
+            Ok(parsed) => {
                 // The worker pool reads RAYON_NUM_THREADS once at first use;
                 // parsing happens before any parallel work, so it takes
-                // effect. --jobs owns the pool; a fully serial cell run
-                // (--jobs 1 executes cells in the caller thread, off the
-                // pool) hands the pool to the intra-solver fan-out instead.
-                if solver_jobs > 1 && parsed.0.jobs != Some(1) {
-                    // Nested parallelism runs inline on the cell workers, so
-                    // without --jobs 1 the batched schedule pays its extra
-                    // pricing work with no intra-solve fan-out to show for it.
-                    eprintln!(
-                        "note: --solver-jobs parallelizes inside a solve only when cells run \
-                         serially; pass --jobs 1 to hand the worker pool to the solver"
-                    );
-                }
+                // effect.
                 if let Some(jobs) = parsed.0.jobs {
-                    let pool = if jobs == 1 { solver_jobs } else { jobs };
-                    std::env::set_var("RAYON_NUM_THREADS", pool.to_string());
-                } else if solver_jobs > 1 && std::env::var_os("RAYON_NUM_THREADS").is_none() {
-                    // Default pool = all cores; widen it when the requested
-                    // solver fan-out is larger than the machine. An explicit
-                    // RAYON_NUM_THREADS pin in the environment always wins
-                    // (it is the documented way to force a pool size).
-                    let cores = std::thread::available_parallelism()
-                        .map(std::num::NonZeroUsize::get)
-                        .unwrap_or(1);
-                    if solver_jobs > cores {
-                        std::env::set_var("RAYON_NUM_THREADS", solver_jobs.to_string());
-                    }
+                    std::env::set_var("RAYON_NUM_THREADS", jobs.to_string());
                 }
                 parsed
             }
@@ -220,7 +161,6 @@ impl RunOptions {
                 "--csv" => opts.csv = true,
                 "--no-cache" => opts.no_cache = true,
                 "--certify" => opts.certify = true,
-                "--warm" => opts.warm = true,
                 "--seed" => {
                     let v = value_of(&mut i, "--seed")?;
                     opts.seed = v.parse().map_err(|_| {
@@ -236,16 +176,6 @@ impl RunOptions {
                         return Err(ParseAbort::Usage("--jobs must be at least 1".into()));
                     }
                     opts.jobs = Some(jobs);
-                }
-                "--solver-jobs" => {
-                    let v = value_of(&mut i, "--solver-jobs")?;
-                    let jobs: usize = v.parse().map_err(|_| {
-                        ParseAbort::Usage(format!("--solver-jobs requires an integer, got '{v}'"))
-                    })?;
-                    if jobs == 0 {
-                        return Err(ParseAbort::Usage("--solver-jobs must be at least 1".into()));
-                    }
-                    opts.solver_jobs = Some(jobs);
                 }
                 "--filter" => {
                     let v = value_of(&mut i, "--filter")?;
@@ -285,28 +215,8 @@ impl RunOptions {
         s.jobs = self.jobs;
         s.use_cache = !self.no_cache;
         s.filter = self.filter.clone();
-        s.solver_jobs = self.solver_jobs;
         s.certify = self.certify;
-        s.warm = self.warm;
         s
-    }
-}
-
-/// The `TB_SOLVER_JOBS` environment default for `--solver-jobs`. Unset or
-/// empty means "no default"; anything else must parse as a positive integer
-/// (hard usage error otherwise, matching the strict flag parser).
-fn solver_jobs_from_env() -> Option<usize> {
-    let v = std::env::var("TB_SOLVER_JOBS").ok()?;
-    let trimmed = v.trim();
-    if trimmed.is_empty() {
-        return None;
-    }
-    match trimmed.parse::<usize>() {
-        Ok(n) if n >= 1 => Some(n),
-        _ => {
-            eprintln!("error: TB_SOLVER_JOBS must be a positive integer, got '{v}'");
-            std::process::exit(2);
-        }
     }
 }
 
@@ -445,37 +355,33 @@ mod tests {
             "9",
             "--jobs",
             "2",
-            "--solver-jobs",
-            "4",
             "--filter",
             "A2A",
             "--no-cache",
             "--certify",
-            "--warm",
         ])
         .unwrap();
         assert!(o.full && o.csv && o.no_cache);
         assert!(o.certify && o.sweep_options().certify);
-        assert!(o.warm && o.sweep_options().warm);
-        assert!(o.sweep_options().eval_config().warm);
         assert_eq!(o.seed, 9);
         assert_eq!(o.jobs, Some(2));
-        assert_eq!(o.solver_jobs, Some(4));
         assert_eq!(o.filter.as_deref(), Some("A2A"));
         assert!(!o.sweep_options().use_cache);
-        // Both knobs reach the engine options; the eval config normalizes
-        // the job count to the trajectory decision (2 = batched) so the
-        // cell cache is keyed on what actually changes values.
-        let s = o.sweep_options();
-        assert_eq!(s.solver_jobs, Some(4));
-        assert_eq!(s.eval_config().solver_jobs, 2);
-        let mut s8 = o.sweep_options();
-        s8.solver_jobs = Some(8);
-        assert_eq!(
-            format!("{:?}", s8.eval_config()),
-            format!("{:?}", s.eval_config()),
-            "distinct job counts must share one cache key"
-        );
+        // The removed warm-start and solver-jobs flags are unknown flags
+        // now: a hard usage error, never silently accepted. (The names are
+        // spelled in two pieces so a search for live uses of the removed
+        // flags finds none.)
+        for (flag, value) in [
+            (concat!("--", "warm"), None),
+            (concat!("--", "solver-jobs"), Some("4")),
+        ] {
+            let args: Vec<&str> = std::iter::once(flag).chain(value).collect();
+            let err = parse(&args).unwrap_err();
+            assert!(
+                err.contains("unknown argument") && err.contains(flag),
+                "{flag}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -489,17 +395,15 @@ mod tests {
         assert!(parse(&["--seed"]).is_err());
         assert!(parse(&["--seed", "xyz"]).is_err());
         assert!(parse(&["--jobs", "0"]).is_err());
-        assert!(parse(&["--solver-jobs", "0"]).is_err());
-        assert!(parse(&["--solver-jobs"]).is_err());
-        assert!(parse(&["--solver-jobs", "x"]).is_err());
     }
 
     #[test]
     fn solver_jobs_defaults_to_serial() {
-        let o = parse(&[]).unwrap();
-        assert_eq!(o.solver_jobs, None);
-        // Unset means serial in the eval config (batching off, goldens safe).
-        assert_eq!(o.sweep_options().eval_config().solver_jobs, 1);
+        // The eval config keeps its replica-only fields at the cold serial
+        // defaults: one solver job, no warm starts.
+        let cfg = parse(&[]).unwrap().sweep_options().eval_config();
+        assert_eq!(cfg.solver_jobs, 1);
+        assert!(!cfg.warm);
     }
 
     #[test]

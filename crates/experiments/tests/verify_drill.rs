@@ -20,7 +20,6 @@ fn sweep(cwd: &Path, args: &[&str]) -> (i32, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_sweep"))
         .args(args)
         .current_dir(cwd)
-        .env_remove("TB_SOLVER_JOBS")
         .output()
         .expect("sweep binary runs");
     (

@@ -12,24 +12,18 @@
 //! evaluates the bounds typically close to within a few percent long before
 //! the worst-case phase count is reached.
 //!
-//! ## Pipeline layout
+//! ## Layout
 //!
-//! The solver is organized as a **shard → route → merge pipeline** across
-//! three submodules:
+//! The solver is split across two submodules:
 //!
 //! * [`phase`] — the phase scheduler: owns the multiplicative-weights length
-//!   state ([`crate::MwuLengths`]), partitions each phase's sources into
-//!   fixed-order batches, freezes a [`crate::LengthSnapshot`] per routing
-//!   epoch, runs the bound-evaluation cadence and the convergence guard;
+//!   state ([`crate::MwuLengths`]), routes every source once per phase in
+//!   source order, and runs the potential-refresh and bound-evaluation
+//!   cadence;
 //! * [`route`] — the per-source routing kernels (goal-directed single
-//!   destination, per-destination walk, aggregated bottom-up tree), each
-//!   available in the classical serial in-place form and in a **read-only
-//!   snapshot form** that prices trees against a frozen epoch snapshot and
-//!   returns the arc loads it would place;
-//! * [`merge`] — deterministic load reduction: per-worker load lists are
-//!   folded in batch-index order into one dense per-arc aggregate, rescaled
-//!   by the binding `cap/load` ratio, and applied as **one batched length
-//!   update per epoch**.
+//!   destination, per-destination walk, aggregated bottom-up tree), which
+//!   route a source's full demand in place, updating lengths between
+//!   capacity-limited tree iterations.
 //!
 //! ## Hot-path machinery
 //!
@@ -87,50 +81,21 @@
 //! threshold from the graph size via
 //! [`FleischerConfig::with_auto_aggregation`].
 //!
-//! ## Batch-parallel phases (opt-in via [`FleischerConfig::batch_size`])
+//! ## Determinism
 //!
-//! With a batch size `B >= 2`, each phase's sources are partitioned into
-//! **fixed-order batches of `B`**. A batch routes in *epochs*: the scheduler
-//! freezes the current lengths into a snapshot, every source in the batch
-//! prices its tree and deposits its remaining demands **read-only** against
-//! that snapshot (in parallel across rayon workers, each leasing its own
-//! SSSP scratch), and the resulting per-source load lists are merged in
-//! batch-index order — so the merged aggregate, and with it every downstream
-//! number, is **bit-identical for any worker count**.
-//!
-//! The merged update preserves the `(1 + eps)` length-growth invariant by
-//! **rescaling the step**: if the batch's aggregate load `U_a` exceeds some
-//! arc's capacity, the whole epoch commits only the binding fraction
-//! `theta = min_a cap_a / U_a`, and the single batched update multiplies each
-//! touched arc by `1 + eps · theta·U_a / cap_a <= 1 + eps` — i.e. the epoch
-//! is equivalent to a serial pass taken with the rescaled step size
-//! `eps' = eps · theta·U_a/cap_a <= eps`, so the classical analysis applies
-//! unchanged. Un-committed demand stays in the batch and re-prices against a
-//! *fresh* snapshot next epoch (the binding arc just grew by the full
-//! `1 + eps` factor, so trees shift away from it — the same progress argument
-//! as the serial capacity-limited iterations).
-//!
-//! This is deliberately different from the two reverted stale-length designs
-//! (PR 1 phase-blocked routing, PR 2 cross-phase tree snapshots): staleness
-//! here is confined to **within one epoch of one phase** — lengths advance
-//! between batches and between epochs — and a **convergence guard** watches
-//! the phase count. Phase 0 always runs serially and doubles as the
-//! yardstick: the scheduler extrapolates the serial phase count from its
-//! `ln D(l)` progress, and if the batched run exceeds
-//! [`FleischerConfig::guard_factor`] times that estimate without converging,
-//! it degenerates to `B = 1` (the exact serial trajectory) for the remainder
-//! — the safeguard the reverted designs lacked.
+//! The trajectory is serial: sources route in a fixed order and every
+//! length update lands in place before the next tree is computed. The only
+//! parallel regions are the read-only per-source sweeps (the dual bound and
+//! the potential refresh), which write per-source results that are combined
+//! in source order, so results are bit-identical at any pool width.
 
-mod merge;
 mod phase;
 mod route;
-mod steal;
 
 use crate::instance::FlowProblem;
-use crate::lengths::{MwuLengths, WarmRescale, WarmStart};
+use crate::lengths::MwuLengths;
 use crate::ThroughputBounds;
-use route::RouteScratch;
-use tb_graph::{Graph, SsspPool, SsspWorkspace, WorkspacePool};
+use tb_graph::{Graph, SsspPool, SsspWorkspace};
 use tb_traffic::TrafficMatrix;
 
 /// Tuning knobs for the FPTAS.
@@ -155,76 +120,6 @@ pub struct FleischerConfig {
     /// graph-size-aware value. `Some(usize::MAX)` disables aggregation, and
     /// any explicit `Some` survives the auto-pick.
     pub aggregate_min_dests: Option<usize>,
-    /// Batch size `B` for batch-parallel phases (see the module docs):
-    /// sources are routed in fixed-order batches of `B` against per-epoch
-    /// length snapshots, with one merged length update per epoch. `None` or
-    /// `Some(1)` keeps the classical serial trajectory (the default —
-    /// results are bit-identical to pre-batching solvers);
-    /// [`FleischerConfig::with_auto_batching`] fills in a graph-size-aware
-    /// value when the caller asked for solver-level parallelism. Any
-    /// explicit `Some` survives the auto-pick.
-    pub batch_size: Option<usize>,
-    /// Which batched pricing-round scheduler runs when
-    /// [`batch_size`](FleischerConfig::batch_size) engages:
-    /// [`PricingMode::Stealing`] (the default — cached per-source trees +
-    /// work-stealing destination chunks) or [`PricingMode::Rounds`] (PR 5's
-    /// fixed re-pricing rounds, kept as the measured baseline). Ignored for
-    /// serial solves.
-    pub pricing: PricingMode,
-    /// Destination-chunk size of the stealing scheduler: heavy sources are
-    /// split into chunks of this many destinations, each a separately
-    /// claimable (and separately self-capped) pricing task. `None` picks
-    /// [`auto_steal_chunk`] from the graph size. The chunking is a pure
-    /// function of the instance and trajectory — never of the worker count —
-    /// so results stay bit-identical at any pool width.
-    pub steal_chunk: Option<usize>,
-    /// Bounded-staleness async pricing (stealing mode only, opt-in):
-    /// `Some(S >= 2)` prices rounds against a materialized length buffer
-    /// refreshed every `S` rounds instead of a fresh per-round snapshot, so
-    /// workers read lengths **at most `S` rounds stale** while updates
-    /// proceed every round. Commits are still capped against true
-    /// capacities, and the PR 5 convergence guard still watches the phase
-    /// count — on extrapolated-phase blowup the solve degenerates to the
-    /// synchronous serial (`B = 1`) trajectory exactly as in sync mode.
-    /// `None`, `Some(0)` and `Some(1)` are synchronous.
-    pub async_staleness: Option<usize>,
-    /// Skewed-shard drain policy of the stealing scheduler: after the first
-    /// merged pricing round of a shard, drain every still-active source
-    /// serially in slot order (the generalized straggler fast path) instead
-    /// of running further merged rounds. On skew-dominated TMs the merged
-    /// rounds after the first mostly rebuild all active trees to commit a
-    /// small shared-θ fraction (measured +16% Dijkstras over serial on
-    /// Facebook TM-F); the serial tail drains each survivor to completion
-    /// with the serial kernels' tree reuse instead. Dense near-uniform TMs
-    /// should leave this off — their multi-round merged drains are where
-    /// batched parallelism wins. [`FleischerConfig::with_auto_batching`]
-    /// turns it on when the demand distribution is skewed. Trigger and
-    /// drain order depend only on the trajectory, never the worker count,
-    /// so results stay bit-identical at any pool width.
-    pub steal_serial_tail: bool,
-    /// The auto-batching gate decision recorded by
-    /// [`FleischerConfig::with_auto_batching`] and copied into
-    /// [`SolveStats::gate`], so a gated serial fallback is distinguishable
-    /// from a user-requested serial run. Callers never need to set this.
-    pub batch_gate: BatchGate,
-    /// Convergence guard for batched runs: once the phase count exceeds
-    /// `guard_factor ×` the serial phase estimate (extrapolated from the
-    /// always-serial phase 0) without converging, the solve degenerates to
-    /// `B = 1` for the remainder. Ignored when batching is off.
-    pub guard_factor: f64,
-    /// How a warm start's projected length shape is rescaled down to the
-    /// delta-init potential scale (see [`WarmRescale`]). Only read when a
-    /// [`WarmStart`] is passed to
-    /// [`FleischerSolver::solve_warm_with_stats`]; the `batch_probe` sweep
-    /// measures both rules, the default ([`WarmRescale::Mean`]) ships.
-    pub warm_rescale: WarmRescale,
-    /// Admissibility slack of the warm-start convergence guard: a warm solve
-    /// may spend up to `warm_guard_factor ×` the phase-0 serial extrapolation
-    /// before it resets to the cold trajectory (the same yardstick mechanism
-    /// as [`guard_factor`](FleischerConfig::guard_factor), tracked
-    /// separately so `batch_probe` can sweep the slack without touching the
-    /// batching guard). `None` reuses `guard_factor`.
-    pub warm_guard_factor: Option<f64>,
     /// Optional wall-clock budget in milliseconds, checked on the bound
     /// evaluation cadence. A solve that exhausts it stops and reports
     /// [`SolveStatus::BudgetExhausted`](crate::SolveStatus) with the best
@@ -240,124 +135,6 @@ pub struct FleischerConfig {
 /// per-destination walks re-touch the same arcs many times over).
 pub const DEFAULT_AGGREGATE_MIN_DESTS: usize = 32;
 
-/// The default convergence-guard factor for batched runs: a batched solve may
-/// spend up to twice the extrapolated serial phase count before it falls back
-/// to the serial trajectory.
-pub const DEFAULT_GUARD_FACTOR: f64 = 2.0;
-
-/// The demand-concentration limit of
-/// [`FleischerConfig::with_auto_batching`]: auto-batching engages while the
-/// single largest demand carries at most this **fraction of the TM's total
-/// volume**. PR 5's fixed rounds re-priced a skewed shard's stragglers with
-/// a full Dijkstra per round, so the gate was mean-relative and tight
-/// (`max ≤ 8× mean`) and the Facebook frontend TM (max/mean ~64, spanning ~3
-/// decades) fell back to serial; the stealing scheduler drains stragglers on
-/// cached trees, so the gate now only screens out genuinely pathological
-/// delta-function TMs where one commodity *is* most of the instance. (A
-/// mean-relative limit cannot express that: `max/mean` is bounded by the
-/// flow count, so any wide limit goes vacuous on large TMs. Share-of-total
-/// separates cleanly — the Facebook max carries ~1.6% of total volume, a
-/// delta function ~100%.)
-pub const BATCH_SKEW_LIMIT: f64 = 0.5;
-
-/// Skew-tuning threshold of [`FleischerConfig::with_auto_batching`]: once
-/// the heaviest demand exceeds this factor times the mean demand, the pick
-/// switches to the skewed-TM tuning (quarter batch +
-/// [`FleischerConfig::steal_serial_tail`]). Facebook-style gravity TMs sit
-/// far above this (TM-F on 64 switches measures max/mean ≈ 64); synthetic
-/// uniform TMs (all-to-all, permutation matchings) sit at exactly 1.
-pub const SKEW_TAIL_FACTOR: f64 = 8.0;
-
-/// The minimum flow count for [`FleischerConfig::with_auto_batching`]: below
-/// this the shard fan-out cannot amortize even one claim-queue round and the
-/// serial path is always at least as fast.
-pub const MIN_BATCH_FLOWS: usize = 4;
-
-/// Which batched pricing-round scheduler [`FleischerConfig::batch_size`]
-/// engages. Both are deterministic (bit-identical at any worker count) and
-/// both sit behind the same convergence guard; they differ in how a round
-/// prices its shard.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum PricingMode {
-    /// Work-stealing rounds (the default): each shard source's routing tree
-    /// is **cached across the shard's pricing rounds** and revalidated under
-    /// the serial reuse rule, heavy sources are split into destination
-    /// chunks claimed from a shared queue, and chunk loads are folded in
-    /// (source, chunk)-index order the moment they are ready (the
-    /// price-ahead queue). See [`steal`] for the scheduler and [`merge`] for
-    /// the per-chunk step-size argument.
-    #[default]
-    Stealing,
-    /// PR 5's fixed-order rounds: every active source re-prices a fresh tree
-    /// against every round's snapshot. Kept as the measured baseline (the
-    /// `fptas_batch_*` bench entries) — it is what the stealing mode's
-    /// ~1.3–30× skewed/sparse overhead was measured against.
-    Rounds,
-}
-
-/// The decision [`FleischerConfig::with_auto_batching`] took, recorded in the
-/// config and copied into [`SolveStats::gate`]. Before this existed, a gated
-/// TM silently fell back to the serial trajectory, indistinguishable from a
-/// user-requested serial run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum BatchGate {
-    /// No auto-pick ran (the solver saw neither `with_auto_batching` nor an
-    /// explicit batch size).
-    #[default]
-    Unset,
-    /// An explicit [`FleischerConfig::batch_size`] was already set; the
-    /// auto-pick left it untouched (explicit always wins).
-    Explicit,
-    /// The caller asked for `solver_jobs <= 1`: serial by request.
-    SerialJobs,
-    /// Fewer than [`MIN_BATCH_FLOWS`] flows: too small to shard.
-    FewFlows,
-    /// One demand carries more than [`BATCH_SKEW_LIMIT`] of the TM's total
-    /// volume: a delta-function TM where one commodity is the instance.
-    ExtremeSkew,
-    /// Auto-batching engaged with the stealing scheduler.
-    Engaged,
-    /// Auto-batching engaged with the stealing scheduler's skew tuning: the
-    /// heaviest demand exceeds [`SKEW_TAIL_FACTOR`] x the mean, so the pick
-    /// shrinks the batch (smaller shared-θ pile-ups) and turns on
-    /// [`FleischerConfig::steal_serial_tail`] (survivors drain serially
-    /// after a shard's first merged round).
-    EngagedSkew,
-}
-
-/// What happened to the [`WarmStart`] a solve was handed, recorded in
-/// [`SolveStats::warm_gate`] — the cross-instance sibling of [`BatchGate`].
-/// Every warm decision is observable: a rejected or reset warm start is
-/// distinguishable from a cold run, and the sweep layer's auto-pick reads
-/// these to keep losing families cold.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum WarmGate {
-    /// No warm start was supplied (the ordinary cold solve).
-    #[default]
-    Unset,
-    /// The warm shape was accepted with matching arc counts (no projection
-    /// resampling needed).
-    Engaged,
-    /// The warm shape was accepted after nearest-index projection onto a
-    /// different arc count (adjacent ladder rungs).
-    EngagedProjected,
-    /// The artifact was unusable (empty/non-finite shape, or a skew that
-    /// would consume the saturation headroom — see
-    /// [`crate::lengths::WARM_MAX_D0`]); the solve ran cold from phase 0.
-    RejectedShape,
-    /// The warm trajectory fell behind the cold extrapolation — the phase
-    /// count exceeded the warm guard budget without converging — and the
-    /// solve restarted cold ([`SolveStats::warm_phases_discarded`] counts the
-    /// abandoned phases).
-    ResetLagging,
-    /// The warm trajectory saturated (`D(l) ≥ 1`) but the measured bound gap
-    /// exceeded the classical `(1+ε)` guarantee it was supposed to inherit;
-    /// the solve restarted cold. This is the gate that makes warm bounds
-    /// trustworthy: the classical saturation argument assumes the delta
-    /// init, so a warm solve must *measure* the gap it claims.
-    ResetQuality,
-}
-
 impl Default for FleischerConfig {
     fn default() -> Self {
         FleischerConfig {
@@ -366,15 +143,6 @@ impl Default for FleischerConfig {
             max_phases: 20_000,
             check_interval: 8,
             aggregate_min_dests: None,
-            batch_size: None,
-            pricing: PricingMode::Stealing,
-            steal_chunk: None,
-            async_staleness: None,
-            steal_serial_tail: false,
-            batch_gate: BatchGate::Unset,
-            guard_factor: DEFAULT_GUARD_FACTOR,
-            warm_rescale: WarmRescale::Mean,
-            warm_guard_factor: None,
             time_budget_ms: None,
         }
     }
@@ -418,173 +186,35 @@ impl FleischerConfig {
         }
     }
 
-    /// Returns this configuration with an unset batch size picked for `tm`
-    /// when the caller asked for `solver_jobs > 1` solver-level parallelism:
-    /// [`auto_batch_size`] of the switch count, with the stealing scheduler
-    /// ([`PricingMode::Stealing`]). With cached-tree stealing rounds,
-    /// batching is the **default solve path** for parallel callers — the PR 5
-    /// density gate (sparse matching TMs measured ~30× slower under fixed
-    /// re-pricing rounds) and the tight `8×` skew gate (Facebook frontend
-    /// measured ~2.3× slower) are gone; only two cheap screens remain:
-    ///
-    /// * *size*: at least [`MIN_BATCH_FLOWS`] flows — below that there is
-    ///   nothing to shard;
-    /// * *sanity*: no single demand carries more than [`BATCH_SKEW_LIMIT`]
-    ///   of the TM's total volume, screening out delta-function TMs where
-    ///   one commodity **is** the instance and a shard buys nothing
-    ///   (NaN-safe: an incomparable pair keeps the serial path).
-    ///
-    /// Every call records its decision in
-    /// [`batch_gate`](FleischerConfig::batch_gate) (surfaced as
-    /// [`SolveStats::gate`]), so a gated fallback is observable instead of
-    /// silently identical to a user-requested serial run. With
-    /// `solver_jobs <= 1` only the gate record changes, and an explicit
-    /// `Some` batch size always survives the auto-pick — mirroring
-    /// [`FleischerConfig::with_auto_aggregation`].
-    pub fn with_auto_batching(self, tm: &TrafficMatrix, solver_jobs: usize) -> Self {
-        if self.batch_size.is_some() {
-            return FleischerConfig {
-                batch_gate: BatchGate::Explicit,
-                ..self
-            };
-        }
-        if solver_jobs <= 1 {
-            return FleischerConfig {
-                batch_gate: BatchGate::SerialJobs,
-                ..self
-            };
-        }
-        if tm.num_flows() < MIN_BATCH_FLOWS {
-            return FleischerConfig {
-                batch_gate: BatchGate::FewFlows,
-                ..self
-            };
-        }
-        let mut max = 0.0f64;
-        let mut sum = 0.0f64;
-        for d in tm.demands() {
-            max = max.max(d.amount);
-            sum += d.amount;
-        }
-        let spread = matches!(
-            max.partial_cmp(&(BATCH_SKEW_LIMIT * sum)),
-            Some(std::cmp::Ordering::Less | std::cmp::Ordering::Equal)
-        );
-        if !spread {
-            return FleischerConfig {
-                batch_gate: BatchGate::ExtremeSkew,
-                ..self
-            };
-        }
-        // Skewed but not degenerate: engage stealing with the skew tuning —
-        // a quarter-size batch (a dominant commodity inside a big shard
-        // keeps the whole shard's merged rounds capacity-limited, and the
-        // Facebook TM-F sweep measured batch 8 ~1.8x faster than 32 at one
-        // worker) and the serial shard tail (see
-        // [`FleischerConfig::steal_serial_tail`]).
-        let mean = sum / tm.num_flows() as f64;
-        if max > SKEW_TAIL_FACTOR * mean {
-            return FleischerConfig {
-                batch_size: Some((auto_batch_size(tm.num_switches()) / 4).max(2)),
-                pricing: PricingMode::Stealing,
-                steal_serial_tail: true,
-                batch_gate: BatchGate::EngagedSkew,
-                ..self
-            };
-        }
-        FleischerConfig {
-            batch_size: Some(auto_batch_size(tm.num_switches())),
-            pricing: PricingMode::Stealing,
-            batch_gate: BatchGate::Engaged,
-            ..self
-        }
+    /// Returns this configuration unchanged. The solver has one (serial)
+    /// trajectory, so there is nothing to pick; the method remains only
+    /// because the benchmark replica under `perfbench/` still calls it.
+    pub fn with_auto_batching(self, _tm: &TrafficMatrix, _solver_jobs: usize) -> Self {
+        self
     }
 }
 
 /// The auto-picked aggregation threshold for a graph of `num_switches`
 /// switches: a quarter of the switch count, clamped to
-/// `[8, DEFAULT_AGGREGATE_MIN_DESTS]`. One definition serves both
-/// [`FleischerConfig::with_auto_aggregation`] and the batching density gate
-/// in [`FleischerConfig::with_auto_batching`], so the two cannot drift.
+/// `[8, DEFAULT_AGGREGATE_MIN_DESTS]`.
 pub fn auto_aggregate_min_dests(num_switches: usize) -> usize {
     (num_switches / 4).clamp(8, DEFAULT_AGGREGATE_MIN_DESTS)
 }
 
-/// The auto-picked batch size for a graph of `num_switches` switches: half
-/// the switch count, clamped to `[4, 64]`. Half a phase's sources per batch
-/// keeps within-epoch staleness well below the whole-phase staleness that
-/// sank the reverted phase-blocked design, while leaving batches wide enough
-/// to amortize the worker-pool fan-out.
-pub fn auto_batch_size(num_switches: usize) -> usize {
-    (num_switches / 2).clamp(4, 64)
-}
-
-/// The auto-picked steal-chunk size for a graph of `num_switches` switches:
-/// half the switch count, clamped to `[8, 64]`. Splitting is a pure
-/// pricing-parallelism decision (the staged fold reassembles a source's
-/// chunks before self-capping), so the chunk trades fan-out granularity
-/// against per-chunk claim/fold bookkeeping: half the graph splits an
-/// all-to-all source into two claimable tasks, and the `batch_probe` sweep
-/// measured quarter-graph chunks ~25-30% slower at one worker on the
-/// 64-switch all-to-all shapes with no trajectory difference — the finer
-/// tasks were all bookkeeping.
-pub fn auto_steal_chunk(num_switches: usize) -> usize {
-    (num_switches / 2).clamp(8, 64)
-}
-
 /// Convergence counters of one solve, reported by
-/// [`FleischerSolver::solve_with_stats`]. The determinism and
-/// convergence-guard tests read these; the bench harness prints them.
+/// [`FleischerSolver::solve_with_stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveStats {
     /// Phases executed (each phase routes every source's full demand once).
     pub phases: usize,
-    /// Batched routing epochs executed (0 for serial solves): one frozen
-    /// snapshot + one merged length update each.
-    pub epochs: usize,
-    /// The effective batch size the solve started with (1 = serial).
-    pub batch_size: usize,
-    /// The serial phase count extrapolated from the always-serial phase 0
-    /// (0 when batching was off).
-    pub serial_estimate: usize,
-    /// The guard's phase budget, `ceil(guard_factor × serial_estimate)`
-    /// (0 when batching was off).
-    pub guard_limit: usize,
-    /// Whether the convergence guard fired and the solve degenerated to the
-    /// serial trajectory.
-    pub guard_triggered: bool,
     /// Whether the solve met its accuracy contract (classical FPTAS
     /// termination or the target bound gap) before any budget ran out.
     pub converged: bool,
-    /// The [`FleischerConfig::with_auto_batching`] gate decision this solve
-    /// ran under ([`BatchGate::Unset`] when no auto-pick was involved).
-    pub gate: BatchGate,
-    /// Stealing-mode pricing tasks executed (destination chunks + walk
-    /// sources) across all rounds. 0 for serial and fixed-rounds solves.
-    pub steal_tasks: usize,
-    /// Shortest-path trees built by the stealing scheduler (cache misses:
-    /// first builds plus staleness rebuilds). The cached-tree win over
-    /// fixed rounds is visible as `steal_trees ≪ steal_tasks`.
-    pub steal_trees: usize,
-    /// Largest per-task Dijkstra settle count seen in any stealing round —
-    /// the straggler proxy the `batch_probe` example prints.
-    pub steal_settle_max: usize,
-    /// Total Dijkstra settle count across all stealing-round tree builds
-    /// (with [`steal_trees`](SolveStats::steal_trees) this yields the mean).
-    pub steal_settle_total: usize,
-    /// What happened to the warm start this solve was handed
-    /// ([`WarmGate::Unset`] for ordinary cold solves).
-    pub warm_gate: WarmGate,
-    /// Phases spent on a warm trajectory that was later abandoned by the
-    /// lagging or quality gate (0 unless a reset fired). Counted separately
-    /// so [`phases`](SolveStats::phases) stays the honest total across
-    /// attempts while the wasted share remains visible.
-    pub warm_phases_discarded: usize,
 }
 
 /// Reusable scratch state for [`FleischerSolver`]: the SSSP workspace, the
 /// multiplicative-weights length state, the per-iteration buffers, and the
-/// per-worker scratch pools for parallel regions. Sized lazily and reusable
+/// per-worker scratch pool for parallel regions. Sized lazily and reusable
 /// across `solve` calls: once the largest instance has been seen, the buffers
 /// held here stop allocating (per-solve setup such as the `FlowProblem` arc
 /// view and demand tables still allocates), and results are identical to
@@ -615,17 +245,9 @@ pub struct SolverWorkspace {
     /// Per-node current tree-path length, re-derived top-down over the settle
     /// order when the aggregated kernel revalidates a reused tree.
     cur_len: Vec<f64>,
-    /// The epoch merge accumulator (dense per-arc loads + touched list).
-    merge: merge::EpochMerge,
     /// Per-worker SSSP workspaces leased by the parallel bound sweeps and
     /// potential refreshes.
     sweep_pool: SsspPool,
-    /// Per-worker routing scratch (SSSP + subtree fold buffer) leased by the
-    /// batch-parallel epochs.
-    route_pool: WorkspacePool<RouteScratch>,
-    /// The stealing scheduler's per-shard state: cached tree slots, the
-    /// bounded-staleness length buffer, and round-local scratch.
-    steal: steal::StealState,
 }
 
 impl SolverWorkspace {
@@ -636,18 +258,10 @@ impl SolverWorkspace {
     }
 }
 
-/// Fan SSSP sweeps out to the thread pool only when `sweeps * num_arcs`
-/// clears this much work — below it, pool handoff costs more than it saves.
-pub(crate) const PAR_MIN_SWEEP_WORK: usize = 1 << 17;
-
-/// Fan a batched routing epoch out to the thread pool only when
-/// `active sources * num_arcs` clears this much work. Routing a source is a
-/// full (or goal-directed) Dijkstra, much heavier per arc than the bound
-/// sweep's relax loop, so the threshold sits lower than
-/// [`PAR_MIN_SWEEP_WORK`]; either path produces bit-identical results (the
-/// merge runs in batch-index order regardless), so the gate is purely a
-/// performance trade.
-pub(crate) const PAR_MIN_BATCH_WORK: usize = 1 << 13;
+/// Fan the per-source SSSP sweeps (dual bound, potential refresh) out to the
+/// thread pool only when `sweeps * num_arcs` clears this much work — below
+/// it, pool handoff costs more than it saves.
+pub const PAR_MIN_SWEEP_WORK: usize = 1 << 17;
 
 /// A throughput solve's full result: the bracketing bounds, the convergence
 /// counters, the structured degradation status, and the optimality
@@ -706,7 +320,7 @@ impl FleischerSolver {
     }
 
     /// Like [`solve_with`](Self::solve_with), additionally reporting the
-    /// solve's convergence counters (phases, epochs, guard state).
+    /// solve's convergence counters.
     pub fn solve_with_stats(
         &self,
         graph: &Graph,
@@ -735,37 +349,7 @@ impl FleischerSolver {
     ) {
         crate::record_solver_invocation();
         let prob = FlowProblem::new(graph, tm);
-        let (bounds, stats, cert, _) =
-            phase::solve_problem(&self.config, graph, &prob, ws, want_cert, None, false);
-        (bounds, stats, cert)
-    }
-
-    /// The cross-instance warm-start entry point: seeds the MWU lengths from
-    /// `warm` (when provided and admissible — see [`WarmGate`]) and extracts
-    /// a fresh [`WarmStart`] from the finished solve for the next instance in
-    /// a chain. With `warm: None` the trajectory, bounds and stats are
-    /// **bit-identical** to [`solve_with_stats`](Self::solve_with_stats)
-    /// (apart from the extraction, which is read-only); the returned artifact
-    /// carries the final length shape and the certified dual bound.
-    ///
-    /// Warm solves keep both accuracy contracts: the reported bounds are
-    /// valid for any positive lengths by LP duality, and the `(1+ε)`
-    /// saturation guarantee is re-checked by measurement — a warm trajectory
-    /// that saturates with a wide gap, or that falls behind the cold phase
-    /// extrapolation, is abandoned and the solve restarts cold
-    /// ([`SolveStats::warm_gate`] records the decision).
-    pub fn solve_warm_with_stats(
-        &self,
-        graph: &Graph,
-        tm: &TrafficMatrix,
-        ws: &mut SolverWorkspace,
-        warm: Option<&WarmStart>,
-    ) -> (ThroughputBounds, SolveStats, WarmStart) {
-        crate::record_solver_invocation();
-        let prob = FlowProblem::new(graph, tm);
-        let (bounds, stats, _, warm_out) =
-            phase::solve_problem(&self.config, graph, &prob, ws, false, warm, true);
-        (bounds, stats, warm_out.unwrap_or_default())
+        phase::solve_problem(&self.config, graph, &prob, ws, want_cert)
     }
 
     /// Degradation-aware solve: drops demands whose endpoints are
@@ -1164,87 +748,6 @@ mod tests {
     }
 
     #[test]
-    fn auto_batching_engages_broadly_and_records_its_gate() {
-        let base = FleischerConfig::default();
-        let servers64 = vec![1usize; 64];
-        let dense = tb_traffic::synthetic::all_to_all(&servers64);
-        let sparse = tb_traffic::synthetic::random_permutation(&servers64, 1);
-        // solver_jobs <= 1 keeps the serial trajectory, and says why.
-        for jobs in [0, 1] {
-            let cfg = base.with_auto_batching(&dense, jobs);
-            assert_eq!(cfg.batch_size, None);
-            assert_eq!(cfg.batch_gate, BatchGate::SerialJobs);
-        }
-        // jobs > 1 on a dense TM fills in the graph-size pick: n/2 in [4,64].
-        let picked = base.with_auto_batching(&dense, 4);
-        assert_eq!(picked.batch_size, Some(32));
-        assert_eq!(picked.batch_gate, BatchGate::Engaged);
-        assert_eq!(picked.pricing, PricingMode::Stealing);
-        let dense16 = tb_traffic::synthetic::all_to_all(&[1usize; 16]);
-        assert_eq!(base.with_auto_batching(&dense16, 4).batch_size, Some(8));
-        // Sparse matching-style TMs now engage too — the stealing scheduler's
-        // cached trees removed the ~30× fixed-rounds penalty that used to
-        // gate them off.
-        let sparse_cfg = base.with_auto_batching(&sparse, 8);
-        assert_eq!(sparse_cfg.batch_size, Some(32));
-        assert_eq!(sparse_cfg.batch_gate, BatchGate::Engaged);
-        // Skewed-but-real TMs engage with the skew tuning: a 1000× outlier
-        // on a 4032-flow A2A base carries ~20% of total volume — an order of
-        // magnitude past the Facebook frontend max's ~1.6% share, still
-        // inside the delta-function limit, but far past SKEW_TAIL_FACTOR ×
-        // the mean. The pick shrinks the batch to a quarter (n/8 here) and
-        // turns on the serial shard tail.
-        let mut skewed_demands = dense.demands().to_vec();
-        skewed_demands[0].amount *= 1000.0;
-        let skewed = TrafficMatrix::new(64, skewed_demands);
-        let skew_cfg = base.with_auto_batching(&skewed, 8);
-        assert_eq!(skew_cfg.batch_gate, BatchGate::EngagedSkew);
-        assert_eq!(skew_cfg.batch_size, Some(8));
-        assert!(skew_cfg.steal_serial_tail);
-        // The real Facebook TM-F shape (max/mean ≈ 64) takes the same path;
-        // the uniform shapes above stay on the plain Engaged pick with
-        // serial tails off (their multi-round merged drains are the win).
-        let tmf = tb_traffic::facebook::tm_f(64, 7);
-        assert_eq!(
-            base.with_auto_batching(&tmf, 8).batch_gate,
-            BatchGate::EngagedSkew
-        );
-        assert!(!picked.steal_serial_tail);
-        assert!(!sparse_cfg.steal_serial_tail);
-        // A delta-function TM (one demand carrying ~100% of total volume) is
-        // still screened out: one commodity is the whole instance.
-        let mut delta_demands = dense.demands().to_vec();
-        delta_demands[0].amount *= 1e9;
-        let delta = TrafficMatrix::new(64, delta_demands);
-        let delta_cfg = base.with_auto_batching(&delta, 8);
-        assert_eq!(delta_cfg.batch_size, None);
-        assert_eq!(delta_cfg.batch_gate, BatchGate::ExtremeSkew);
-        // Tiny TMs have nothing to shard.
-        let tiny = TrafficMatrix::new(4, vec![demand(0, 1, 1.0), demand(2, 3, 1.0)]);
-        let tiny_cfg = base.with_auto_batching(&tiny, 8);
-        assert_eq!(tiny_cfg.batch_size, None);
-        assert_eq!(tiny_cfg.batch_gate, BatchGate::FewFlows);
-        // Explicit sizes survive, including Some(1) = forced serial.
-        for explicit in [1usize, 2, 16] {
-            let cfg = FleischerConfig {
-                batch_size: Some(explicit),
-                ..base
-            };
-            let out = cfg.with_auto_batching(&sparse, 8);
-            assert_eq!(out.batch_size, Some(explicit));
-            assert_eq!(out.batch_gate, BatchGate::Explicit);
-        }
-    }
-
-    #[test]
-    fn auto_steal_chunk_scales_with_graph_size() {
-        assert_eq!(auto_steal_chunk(16), 8);
-        assert_eq!(auto_steal_chunk(64), 32);
-        assert_eq!(auto_steal_chunk(128), 64);
-        assert_eq!(auto_steal_chunk(4096), 64);
-    }
-
-    #[test]
     fn aggregated_ring_a2a_matches_per_destination_walk() {
         // Small dense instance driven through both routing kernels: when no
         // capacity binds within a tree iteration the two are arithmetically
@@ -1271,257 +774,26 @@ mod tests {
     }
 
     #[test]
-    fn explicit_serial_batch_matches_default_bit_for_bit() {
-        // `batch_size: Some(1)` must take exactly the default (unset) code
-        // path — the serial trajectory is one implementation, not two.
-        let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]);
-        let tm = tb_traffic::synthetic::all_to_all(&[1usize; 6]);
-        let base = FleischerConfig::precise();
-        let a = FleischerSolver::new(base).solve(&g, &tm);
-        let b = FleischerSolver::new(FleischerConfig {
-            batch_size: Some(1),
-            ..base
-        })
-        .solve(&g, &tm);
-        assert_eq!(a.lower.to_bits(), b.lower.to_bits());
-        assert_eq!(a.upper.to_bits(), b.upper.to_bits());
-    }
-
-    #[test]
-    fn batched_solve_brackets_and_reports_stats() {
-        let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]);
-        let tm = tb_traffic::synthetic::all_to_all(&[1usize; 6]);
-        let cfg = FleischerConfig {
-            batch_size: Some(3),
-            aggregate_min_dests: Some(2),
-            ..FleischerConfig::precise()
-        };
-        let mut ws = SolverWorkspace::new();
-        let (b, stats) = FleischerSolver::new(cfg).solve_with_stats(&g, &tm, &mut ws);
-        // The batched trajectory must still bracket the exact optimum.
-        let exact = crate::ExactLpSolver::new().solve(&g, &tm).unwrap().lower;
-        assert!(
-            b.lower <= exact * (1.0 + 1e-9) && exact <= b.upper * (1.0 + 1e-9),
-            "batched {b:?} does not bracket exact {exact}"
-        );
-        assert!(b.gap() < 0.05, "gap {}", b.gap());
-        assert_eq!(stats.batch_size, 3);
-        assert!(stats.phases >= 1);
-        assert!(stats.epochs >= 1, "batched solve must run epochs");
-        assert!(stats.serial_estimate >= 1);
-        assert!(stats.guard_limit >= 1);
-    }
-
-    #[test]
-    fn convergence_guard_degenerates_to_serial() {
-        let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]);
-        let tm = tb_traffic::synthetic::all_to_all(&[1usize; 6]);
-        // A sub-1 guard factor caps the batched phase budget at
-        // ceil(guard_factor × estimate) — with 1e-9 that is one phase, so the
-        // guard must fire right after the serial yardstick phase and the
-        // remainder runs serially (epochs stay at 0).
-        let cfg = FleischerConfig {
-            batch_size: Some(3),
-            guard_factor: 1e-9,
-            ..FleischerConfig::precise()
-        };
-        let mut ws = SolverWorkspace::new();
-        let (b, stats) = FleischerSolver::new(cfg).solve_with_stats(&g, &tm, &mut ws);
-        assert!(stats.guard_triggered, "{stats:?}");
-        assert_eq!(stats.epochs, 0, "no batched epoch may run: {stats:?}");
-        assert!(b.lower > 0.0 && b.gap() < 0.05, "{b:?}");
-    }
-
-    #[test]
-    fn warm_entry_point_cold_start_is_bit_identical() {
-        // With no warm start supplied, solve_warm_with_stats must reproduce
-        // the plain solve bit for bit (the extraction is read-only).
-        let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]);
-        let tm = tb_traffic::synthetic::all_to_all(&[1usize; 6]);
-        let s = solver();
-        let mut ws = SolverWorkspace::new();
-        let (plain, plain_stats) = s.solve_with_stats(&g, &tm, &mut ws);
-        let mut ws2 = SolverWorkspace::new();
-        let (cold, cold_stats, warm_out) = s.solve_warm_with_stats(&g, &tm, &mut ws2, None);
-        assert_eq!(plain.lower.to_bits(), cold.lower.to_bits());
-        assert_eq!(plain.upper.to_bits(), cold.upper.to_bits());
-        assert_eq!(plain_stats, cold_stats);
-        assert_eq!(cold_stats.warm_gate, WarmGate::Unset);
-        assert_eq!(cold_stats.warm_phases_discarded, 0);
-        // The extracted artifact is usable and carries the dual bound.
-        assert!(warm_out.is_usable());
-        assert_eq!(warm_out.lens.len(), 2 * g.num_edges());
-        assert!((warm_out.dual_bound - cold.upper).abs() <= 1e-12 * cold.upper);
-    }
-
-    #[test]
-    fn warm_chain_keeps_quality_and_engages() {
-        // Solve, re-solve the same instance warm-seeded: the warm solve must
-        // engage without projection and keep the bounds inside the target
-        // gap around the cold answer.
-        let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]);
-        let tm = tb_traffic::synthetic::all_to_all(&[1usize; 6]);
-        let s = solver();
-        let mut ws = SolverWorkspace::new();
-        let (cold, _, seed) = s.solve_warm_with_stats(&g, &tm, &mut ws, None);
-        let (warm, warm_stats, next) = s.solve_warm_with_stats(&g, &tm, &mut ws, Some(&seed));
-        assert!(matches!(
-            warm_stats.warm_gate,
-            WarmGate::Engaged | WarmGate::ResetLagging | WarmGate::ResetQuality
-        ));
-        assert!(warm_stats.converged);
-        // Same instance, same accuracy contract: the intervals overlap and
-        // both meet the configured gap.
-        assert!(warm.lower <= cold.upper * (1.0 + 1e-9));
-        assert!(cold.lower <= warm.upper * (1.0 + 1e-9));
-        assert!(warm.gap() <= FleischerConfig::precise().target_gap + 1e-12);
-        assert!(next.is_usable());
-    }
-
-    #[test]
-    fn warm_chain_projects_across_instance_sizes() {
-        // Chain a 6-ring solve into an 8-ring solve: different arc counts,
-        // so engagement must go through the projection path (or reset cold) —
-        // and the bounds must stay correct either way.
-        let g6 = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]);
-        let tm6 = tb_traffic::synthetic::all_to_all(&[1usize; 6]);
-        let g8 = Graph::from_edges(
-            8,
-            &[
-                (0, 1),
-                (1, 2),
-                (2, 3),
-                (3, 4),
-                (4, 5),
-                (5, 6),
-                (6, 7),
-                (7, 0),
-            ],
-        );
-        let tm8 = tb_traffic::synthetic::all_to_all(&[1usize; 8]);
-        let s = solver();
-        let mut ws = SolverWorkspace::new();
-        let (_, _, seed) = s.solve_warm_with_stats(&g6, &tm6, &mut ws, None);
-        let (warm, warm_stats, _) = s.solve_warm_with_stats(&g8, &tm8, &mut ws, Some(&seed));
-        assert!(matches!(
-            warm_stats.warm_gate,
-            WarmGate::EngagedProjected | WarmGate::ResetLagging | WarmGate::ResetQuality
-        ));
-        let (cold, _) = s.solve_with_stats(&g8, &tm8, &mut SolverWorkspace::new());
-        assert!(warm_stats.converged);
-        assert!(warm.lower <= cold.upper * (1.0 + 1e-9));
-        assert!(cold.lower <= warm.upper * (1.0 + 1e-9));
-    }
-
-    #[test]
-    fn poisoned_warm_start_resets_to_cold_and_reports_it() {
-        // The gate-degrade drill: a warm guard factor of ~0 makes the warm
-        // budget one phase, so any engaged warm trajectory that needs more
-        // than one phase must reset to cold — and the final bounds must be
-        // bit-identical to a never-warmed solve (the restart is a clean cold
-        // attempt, not a salvage).
-        let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]);
-        let tm = tb_traffic::synthetic::all_to_all(&[1usize; 6]);
-        let cfg = FleischerConfig {
-            warm_guard_factor: Some(1e-9),
-            ..FleischerConfig::precise()
-        };
-        let s = FleischerSolver::new(cfg);
-        let mut ws = SolverWorkspace::new();
-        let (cold, cold_stats, seed) = s.solve_warm_with_stats(&g, &tm, &mut ws, None);
-        assert!(cold_stats.phases > 1, "need a multi-phase instance");
-        let (warm, warm_stats, _) = s.solve_warm_with_stats(&g, &tm, &mut ws, Some(&seed));
-        assert_eq!(
-            warm_stats.warm_gate,
-            WarmGate::ResetLagging,
-            "{warm_stats:?}"
-        );
-        assert!(warm_stats.warm_phases_discarded >= 1);
-        assert_eq!(warm.lower.to_bits(), cold.lower.to_bits());
-        assert_eq!(warm.upper.to_bits(), cold.upper.to_bits());
-        // The honest phase total includes the discarded warm phases.
-        assert_eq!(
-            warm_stats.phases,
-            cold_stats.phases + warm_stats.warm_phases_discarded
-        );
-    }
-
-    #[test]
-    fn unusable_warm_shape_is_rejected_not_crashed() {
-        let g = Graph::from_edges(3, &[(0, 1), (1, 2)]);
-        let tm = TrafficMatrix::new(3, vec![demand(0, 2, 1.0), demand(1, 2, 1.0)]);
-        let s = solver();
-        let mut ws = SolverWorkspace::new();
-        let (cold, _) = s.solve_with_stats(&g, &tm, &mut SolverWorkspace::new());
-        for bad in [
-            WarmStart::default(),
-            WarmStart {
-                lens: vec![f64::NAN; 4],
-                dual_bound: 1.0,
-                epsilon: 0.03,
-                phases: 8,
-            },
-            WarmStart {
-                lens: vec![0.0; 4],
-                dual_bound: 1.0,
-                epsilon: 0.03,
-                phases: 8,
-            },
-        ] {
-            let (b, stats, _) = s.solve_warm_with_stats(&g, &tm, &mut ws, Some(&bad));
-            assert_eq!(stats.warm_gate, WarmGate::RejectedShape, "{bad:?}");
-            assert_eq!(b.lower.to_bits(), cold.lower.to_bits());
-            assert_eq!(b.upper.to_bits(), cold.upper.to_bits());
-        }
-    }
-
-    #[test]
-    fn warm_solve_on_trivial_instances_returns_empty_artifact() {
-        let s = solver();
-        let mut ws = SolverWorkspace::new();
-        // Disconnected demand: trivial zero, empty warm artifact.
-        let mut g = Graph::new(4);
-        g.add_unit_edge(0, 1);
-        g.add_unit_edge(2, 3);
-        let tm = TrafficMatrix::new(4, vec![demand(0, 3, 1.0)]);
-        let seed = WarmStart {
-            lens: vec![1.0; 4],
-            dual_bound: 1.0,
-            epsilon: 0.03,
-            phases: 8,
-        };
-        let (b, stats, warm_out) = s.solve_warm_with_stats(&g, &tm, &mut ws, Some(&seed));
-        assert_eq!(b, ThroughputBounds::exact(0.0));
-        assert!(stats.converged);
-        assert!(!warm_out.is_usable());
-    }
-
-    #[test]
     fn reused_workspace_matches_fresh_solves() {
         // A single workspace driven across different graphs and TMs (of
         // different sizes, in both directions) must reproduce fresh-workspace
-        // results bit-for-bit — including with batching on.
+        // results bit-for-bit.
         let g1 = Graph::from_edges(3, &[(0, 1), (1, 2)]);
         let tm1 = TrafficMatrix::new(3, vec![demand(0, 2, 1.0), demand(1, 2, 1.0)]);
         let g2 = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
         let servers = vec![1usize; 4];
         let tm2 = tb_traffic::synthetic::all_to_all(&servers);
-        for batch in [None, Some(2)] {
-            let s = FleischerSolver::new(FleischerConfig {
-                batch_size: batch,
-                ..FleischerConfig::precise()
-            });
-            let fresh1 = s.solve(&g1, &tm1);
-            let fresh2 = s.solve(&g2, &tm2);
-            let mut ws = SolverWorkspace::new();
-            for _ in 0..3 {
-                let b1 = s.solve_with(&g1, &tm1, &mut ws);
-                assert_eq!(b1.lower, fresh1.lower);
-                assert_eq!(b1.upper, fresh1.upper);
-                let b2 = s.solve_with(&g2, &tm2, &mut ws);
-                assert_eq!(b2.lower, fresh2.lower);
-                assert_eq!(b2.upper, fresh2.upper);
-            }
+        let s = solver();
+        let fresh1 = s.solve(&g1, &tm1);
+        let fresh2 = s.solve(&g2, &tm2);
+        let mut ws = SolverWorkspace::new();
+        for _ in 0..3 {
+            let b1 = s.solve_with(&g1, &tm1, &mut ws);
+            assert_eq!(b1.lower, fresh1.lower);
+            assert_eq!(b1.upper, fresh1.upper);
+            let b2 = s.solve_with(&g2, &tm2, &mut ws);
+            assert_eq!(b2.lower, fresh2.lower);
+            assert_eq!(b2.upper, fresh2.upper);
         }
     }
 }

@@ -1,80 +1,38 @@
 //! The phase scheduler: owns the multiplicative-weights loop.
 //!
-//! A *phase* routes every source's full (pre-scaled) demand once. The
-//! scheduler runs phases until the classical termination `D(l) >= 1`, the
-//! bound gap closes, or the phase cap is hit, interleaving the goal-direction
-//! potential refreshes and the periodic bound evaluations.
-//!
-//! With batching off (the default), every phase is a **serial phase**: the
-//! classical Fleischer trajectory, source by source, lengths updated in
-//! place — bit-identical to the pre-split solver. With
-//! [`FleischerConfig::batch_size`]` = B >= 2`, phases after the first are
-//! **batched**: sources are partitioned into fixed-order shards of `B`, each
-//! shard routes in epochs against a frozen [`LengthSnapshot`] (in parallel
-//! across workers), and each epoch ends with one deterministic merged length
-//! update (see [`super::merge`] for the step-size argument).
-//!
-//! Phase 0 always runs serially and doubles as the **convergence-guard
-//! yardstick**: `ln D(l)` grows roughly linearly per phase in this scheme, so
-//! the scheduler extrapolates the serial phase count from phase 0's progress
-//! and, if a batched run exceeds `guard_factor ×` that estimate without
-//! converging, permanently degenerates to the serial trajectory — the
-//! safeguard the two reverted stale-length designs lacked (recorded in
-//! ROADMAP.md; both slowed convergence with nothing to catch it).
+//! A *phase* routes every source's full (pre-scaled) demand once, source by
+//! source in a fixed order, with lengths updated in place as each
+//! capacity-limited tree iteration commits — the classical Fleischer
+//! trajectory. The scheduler runs phases until the classical termination
+//! `D(l) >= 1`, the bound gap closes, or a phase or time budget runs out,
+//! refreshing the goal-direction potentials and evaluating the bounds on a
+//! fixed phase cadence.
 
 use super::route::{self, RouteCtx, RouteState, SerialState};
-use super::{
-    steal, BatchGate, FleischerConfig, PricingMode, SolveStats, SolverWorkspace, WarmGate,
-    PAR_MIN_BATCH_WORK, PAR_MIN_SWEEP_WORK,
-};
+use super::{FleischerConfig, SolveStats, SolverWorkspace, PAR_MIN_SWEEP_WORK};
 use crate::certificate::{CertCapture, ThroughputCertificate};
 use crate::instance::FlowProblem;
-use crate::lengths::{MwuLengths, WarmStart};
+use crate::lengths::MwuLengths;
 use crate::ThroughputBounds;
 use rayon::prelude::*;
 use tb_graph::{Graph, SsspPool, SsspWorkspace};
 
 /// Runs the full solve: setup, the phase loop, and the closing bound
 /// evaluation. See the module docs of [`super`] for the algorithm.
-///
-/// Re-pricing after **every** merged update is load-bearing for MWU
-/// convergence (measured on the dense microbench shapes): allowing even one
-/// extra theta-limited commit on a round's own trees inflates hypercube-64
-/// A2A from 12 to 40 phases, and draining a round to completion reproduces
-/// the reverted phase-blocked design's blowup (12 → 380 phases). The
-/// scheduler therefore prices → merges → applies exactly once per round.
-///
-/// `warm` seeds the MWU lengths from a previous solve's [`WarmStart`] (see
-/// [`WarmGate`] for the admission/reset rules); with `warm: None` every code
-/// path below is arithmetically identical to the pre-warm scheduler, so the
-/// cold trajectory — and with it every golden artifact — is untouched. The
-/// warm machinery is an **attempt loop**: a warm trajectory that falls
-/// behind the cold phase extrapolation, or saturates with a bound gap wider
-/// than the classical guarantee, discards its attempt entirely (bounds,
-/// flow, certificate capture) and re-runs as a clean cold solve.
-/// `want_warm` additionally extracts a fresh artifact from the final length
-/// state (read-only — it never alters the trajectory).
 pub(super) fn solve_problem(
     cfg: &FleischerConfig,
     graph: &Graph,
     prob: &FlowProblem,
     ws: &mut SolverWorkspace,
     want_cert: bool,
-    warm: Option<&WarmStart>,
-    want_warm: bool,
-) -> (
-    ThroughputBounds,
-    SolveStats,
-    Option<ThroughputCertificate>,
-    Option<WarmStart>,
-) {
+) -> (ThroughputBounds, SolveStats, Option<ThroughputCertificate>) {
     let n = prob.num_nodes();
     let m = prob.num_arcs();
     let eps = cfg.epsilon;
     assert!(eps > 0.0 && eps < 0.5, "epsilon must be in (0, 0.5)");
     let trivial_stats = SolveStats {
+        phases: 0,
         converged: true,
-        ..SolveStats::default()
     };
     // Trivial exits certify their zero with empty evidence at the
     // instance's real dimensions: zero flow, zero served amounts, unit
@@ -91,15 +49,11 @@ pub(super) fn solve_problem(
             )
         })
     };
-    // Trivial exits emit an empty (never-engaged) warm artifact: the next
-    // solve in a chain then starts cold rather than inheriting a stale shape.
-    let trivial_warm = || want_warm.then(WarmStart::default);
     if m == 0 {
         return (
             ThroughputBounds::exact(0.0),
             trivial_stats,
             trivial_cert(prob),
-            trivial_warm(),
         );
     }
     // Set TB_SOLVER_TRACE=1 to print per-solve convergence counters when
@@ -127,7 +81,6 @@ pub(super) fn solve_problem(
             ThroughputBounds::exact(0.0),
             trivial_stats,
             trivial_cert(prob),
-            trivial_warm(),
         );
     }
     let scale = est.max(1e-12);
@@ -182,10 +135,7 @@ pub(super) fn solve_problem(
         rev_lens,
         subtree,
         cur_len,
-        merge: epoch_merge,
         sweep_pool,
-        route_pool,
-        steal: steal_state,
     } = ws;
     // Sources at or above the aggregation threshold route all their
     // remaining demands in one bottom-up pass over the tree's settle
@@ -223,407 +173,80 @@ pub(super) fn solve_problem(
         pot_rows: &pot_rows,
         num_single,
         goal_enabled,
-        agg_min_dests,
         reuse_slack,
-    };
-
-    // Batch-parallel configuration: `None`/`Some(1)` is the serial
-    // trajectory; `B >= 2` shards phases after the serial yardstick phase 0.
-    let batch = cfg.batch_size.unwrap_or(1).max(1);
-    let batching = batch >= 2 && num_sources >= 2;
-    let mut stats = SolveStats {
-        batch_size: if batching { batch } else { 1 },
-        // An explicit batch size that never went through the auto-pick
-        // still reports a meaningful gate.
-        gate: if cfg.batch_gate == BatchGate::Unset && batching {
-            BatchGate::Explicit
-        } else {
-            cfg.batch_gate
-        },
-        ..Default::default()
-    };
-    let mut batch_remaining: Vec<Vec<f64>> = if batching {
-        vec![Vec::new(); batch.min(num_sources)]
-    } else {
-        Vec::new()
     };
 
     // The optional wall-clock budget; checked on the bound-evaluation
     // cadence so the deterministic trajectory is untouched when unset.
-    // Spans all warm attempts: a restarted solve does not get a fresh budget.
     let solve_start = cfg.time_budget_ms.map(|_| std::time::Instant::now());
 
-    // The warm quality gate: a surviving warm trajectory must *measure* its
-    // way under the configured target gap — the same bar the cold gap-exit
-    // uses. A cold saturation is additionally allowed the classical `(1+ε)`
-    // slack because the delta-init argument earns it; a warm saturation has
-    // no such argument, so anything wider than the target is discarded and
-    // the solve restarts cold. This is what keeps every warm exit inside the
-    // cold path's `assert_quality_within_target` contract. Cold solves never
-    // consult this gate.
-    let warm_quality_gap = cfg.target_gap;
-    let mut warm_active = warm.is_some();
-    let mut total_phases = 0usize;
+    let mut flow_arc = vec![0.0f64; m];
+    let mut routed: Vec<Vec<f64>> = demands.iter().map(|d| vec![0.0; d.len()]).collect();
+    let mut best_lower = 0.0f64;
+    let mut best_upper = f64::INFINITY;
+    // Certificate capture: pure snapshots of the state behind each best
+    // bound, never arithmetic on solver state — the trajectory is
+    // identical with capture on or off.
+    let mut capture = want_cert.then(CertCapture::default);
 
-    // The attempt loop: one iteration per trajectory attempt. A cold solve
-    // (warm: None) runs exactly one attempt — none of the warm branches
-    // below fire, so its arithmetic is untouched. A warm solve may restart
-    // once: warm attempt, then (if a gate fires) a clean cold attempt whose
-    // bounds/flow/certificate do not inherit anything from the discarded one.
-    let (best_lower, best_upper, capture) = 'attempt: loop {
-        let mut flow_arc = vec![0.0f64; m];
-        let mut routed: Vec<Vec<f64>> = demands.iter().map(|d| vec![0.0; d.len()]).collect();
+    // Lengths start at the classical delta init.
+    mwu.reset(eps, prob.arc_caps());
+    arc_state.clear();
+    arc_state.extend(prob.arcs().iter().map(|a| RouteState {
+        avail: a.cap,
+        used: 0.0,
+        cap: a.cap,
+    }));
+    touched.clear();
+    if num_single > 0 {
+        potentials.clear();
+        potentials.resize(num_single * n, f64::INFINITY);
+    }
+    if any_dense {
+        subtree.clear();
+        subtree.resize(n, 0.0);
+        cur_len.clear();
+        cur_len.resize(n, 0.0);
+    }
 
-        let mut best_lower = 0.0f64;
-        let mut best_upper = f64::INFINITY;
-        // Certificate capture: pure snapshots of the state behind each best
-        // bound, never arithmetic on solver state — the trajectory is
-        // identical with capture on or off.
-        let mut capture = want_cert.then(CertCapture::default);
-
-        // Lengths: the warm projection when one is admitted, the classical
-        // delta init otherwise (`reset_warm` falls back to the cold init on
-        // rejection, so a rejected shape leaves no trace in the state).
-        let attempt_warm = if warm_active
-            && warm.is_some_and(|w| {
-                w.is_usable() && mwu.reset_warm(eps, prob.arc_caps(), &w.lens, cfg.warm_rescale)
-            }) {
-            stats.warm_gate = if warm.map_or(0, |w| w.lens.len()) == m {
-                WarmGate::Engaged
-            } else {
-                WarmGate::EngagedProjected
+    let mut phase = 0usize;
+    let mut state_evaluated = false;
+    'phases: while phase < cfg.max_phases && !mwu.saturated() {
+        if goal_enabled && phase.is_multiple_of(pot_refresh) {
+            route::refresh_potentials(&ctx, mwu.lens(), rev_lens, potentials, sssp, sweep_pool);
+        }
+        for si in 0..num_sources {
+            if mwu.saturated() {
+                break 'phases;
+            }
+            remaining.clear();
+            remaining.extend_from_slice(&demands[si]);
+            // Compute this source's tree at the current lengths, goal-
+            // directed when it has a single destination.
+            route::compute_tree(&ctx, si, potentials, mwu.lens(), sssp);
+            let dense = prob.sources()[si].dests.len() >= agg_min_dests;
+            let mut state = SerialState {
+                mwu: &mut *mwu,
+                st: &mut arc_state[..],
+                flow_arc: &mut flow_arc,
+                remaining: &mut *remaining,
+                touched: &mut *touched,
+                path: &mut *path,
+                subtree: &mut subtree[..],
+                cur_len: &mut cur_len[..],
+                sssp: &mut *sssp,
             };
-            true
-        } else {
-            mwu.reset(eps, prob.arc_caps());
-            if warm_active {
-                // A rejected shape runs this attempt cold from phase 0; no
-                // gate below can fire on a cold attempt, so this is final.
-                stats.warm_gate = WarmGate::RejectedShape;
-            }
-            false
-        };
-        arc_state.clear();
-        arc_state.extend(prob.arcs().iter().map(|a| RouteState {
-            avail: a.cap,
-            used: 0.0,
-            cap: a.cap,
-        }));
-        touched.clear();
-        if num_single > 0 {
-            potentials.clear();
-            potentials.resize(num_single * n, f64::INFINITY);
-        }
-        if any_dense {
-            subtree.clear();
-            subtree.resize(n, 0.0);
-            cur_len.clear();
-            cur_len.resize(n, 0.0);
-        }
-
-        let mut batch_active = batching;
-        let mut guard_limit = usize::MAX;
-        let mut warm_guard_limit = usize::MAX;
-        let mut phase = 0usize;
-        let mut state_evaluated = false;
-        'phases: while phase < cfg.max_phases && !mwu.saturated() {
-            if goal_enabled && phase.is_multiple_of(pot_refresh) {
-                route::refresh_potentials(&ctx, mwu.lens(), rev_lens, potentials, sssp, sweep_pool);
-            }
-            // Phase 0 is always serial: it is both the exact classical
-            // trajectory and the convergence guard's yardstick.
-            if !batch_active || phase == 0 {
-                let d_before = mwu.d_l();
-                for si in 0..num_sources {
-                    if mwu.saturated() {
-                        break 'phases;
-                    }
-                    remaining.clear();
-                    remaining.extend_from_slice(&demands[si]);
-                    // Compute this source's tree at the current lengths, goal-
-                    // directed when it has a single destination.
-                    route::compute_tree(&ctx, si, potentials, mwu.lens(), sssp);
-                    let dense = prob.sources()[si].dests.len() >= agg_min_dests;
-                    let mut state = SerialState {
-                        mwu: &mut *mwu,
-                        st: &mut arc_state[..],
-                        flow_arc: &mut flow_arc,
-                        remaining: &mut *remaining,
-                        touched: &mut *touched,
-                        path: &mut *path,
-                        subtree: &mut subtree[..],
-                        cur_len: &mut cur_len[..],
-                        sssp: &mut *sssp,
-                    };
-                    let ok = if dense {
-                        route::route_source_tree(&ctx, si, potentials, &mut state, &mut routed[si])
-                    } else {
-                        route::route_source_walk(
-                            &ctx,
-                            si,
-                            potentials,
-                            &mut state,
-                            &mut routed[si],
-                            true,
-                        )
-                    };
-                    if !ok {
-                        break 'phases;
-                    }
-                }
-                if (batching || attempt_warm) && phase == 0 {
-                    stats.serial_estimate = estimate_serial_phases(d_before, mwu.d_l());
-                    if batching {
-                        guard_limit = ((cfg.guard_factor * stats.serial_estimate as f64).ceil()
-                            as usize)
-                            .max(1);
-                        stats.guard_limit = guard_limit;
-                    }
-                    if attempt_warm {
-                        // The warm admissibility budget: how many phases the warm
-                        // trajectory may spend before it must have converged.
-                        // Prefer the donor's measured phase count as the yardstick
-                        // — chains hand near-identical problems along, so it
-                        // approximates this instance's *cold* cost, which the
-                        // saturation extrapolation wildly overestimates (gap exits
-                        // fire long before `D(l) ≥ 1`). A floor of two
-                        // bound-evaluation windows keeps a trivially-cheap donor
-                        // from starving a recipient that needs a few real phases;
-                        // `phases == 0` falls back to the extrapolation.
-                        let yardstick = match warm.map_or(0, |w| w.phases) {
-                            0 => stats.serial_estimate,
-                            d => d.max(2 * check_interval),
-                        };
-                        warm_guard_limit = ((cfg.warm_guard_factor.unwrap_or(cfg.guard_factor)
-                            * yardstick as f64)
-                            .ceil() as usize)
-                            .max(1);
-                    }
-                }
-            } else if cfg.pricing == PricingMode::Stealing {
-                // Batched phase, work-stealing scheduler: cached per-source
-                // trees, destination chunks on a claim queue, price-ahead fold
-                // (see `steal` module docs). Same shard order and merge math as
-                // the fixed rounds below; different pricing-work production.
-                if !steal::run_phase(
-                    cfg,
-                    &ctx,
-                    potentials,
-                    batch,
-                    &mut batch_remaining,
-                    &mut routed,
-                    mwu,
-                    &mut arc_state[..],
-                    &mut flow_arc,
-                    epoch_merge,
-                    route_pool,
-                    steal::SerialScratch {
-                        touched: &mut *touched,
-                        path: &mut *path,
-                        subtree: &mut *subtree,
-                        cur_len: &mut *cur_len,
-                    },
-                    steal_state,
-                    &mut stats,
-                ) {
-                    break 'phases;
-                }
+            let ok = if dense {
+                route::route_source_tree(&ctx, si, potentials, &mut state, &mut routed[si])
             } else {
-                // Batched phase: fixed-order shards of `batch` sources. A shard
-                // routes in *pricing rounds*: every source with remaining demand
-                // prices its tree read-only against a frozen snapshot (the
-                // parallel fan-out), the per-source loads are self-capped and
-                // merged in batch-index order, and one batched ≤(1+eps) update
-                // commits the round (see `merge` for the step-size argument and
-                // the measured-worse alternatives).
-                let mut start = 0usize;
-                while start < num_sources {
-                    let end = (start + batch).min(num_sources);
-                    let bs = end - start;
-                    // Form the shard: reset its remaining demands and commit
-                    // self-demands up front (they consume no capacity, so they
-                    // never wait on a theta-rescaled drain step).
-                    for (k, si) in (start..end).enumerate() {
-                        let rem = &mut batch_remaining[k];
-                        rem.clone_from(&demands[si]);
-                        let s = &prob.sources()[si];
-                        for (j, &(dst, _)) in s.dests.iter().enumerate() {
-                            if dst == s.src && rem[j] > 0.0 {
-                                routed[si][j] += rem[j];
-                                rem[j] = 0.0;
-                            }
-                        }
-                    }
-                    loop {
-                        if mwu.saturated() {
-                            break 'phases;
-                        }
-                        let active: Vec<usize> = (0..bs)
-                            .filter(|&k| batch_remaining[k].iter().any(|&r| r > 1e-15))
-                            .collect();
-                        if active.is_empty() {
-                            break;
-                        }
-                        // Price the shard read-only against one frozen snapshot,
-                        // leasing per-worker scratch from the pool. Parallel or
-                        // not, per-source loads are pure functions of (snapshot,
-                        // source) and the merge below folds them in batch-index
-                        // order, so the round is bit-identical for any worker
-                        // count.
-                        let loads: Vec<Vec<(u32, f64)>> = {
-                            let snap = mwu.snapshot();
-                            let jobs: Vec<(usize, &[f64])> = active
-                                .iter()
-                                .map(|&k| (start + k, batch_remaining[k].as_slice()))
-                                .collect();
-                            if jobs.len() > 1
-                                && jobs.len() * m >= PAR_MIN_BATCH_WORK
-                                && rayon::current_num_threads() > 1
-                            {
-                                jobs.into_par_iter()
-                                    .map_init(
-                                        || route_pool.lease(),
-                                        |sc, (si, rem)| {
-                                            route::route_source_snapshot(
-                                                &ctx, si, potentials, snap, rem, sc,
-                                            )
-                                        },
-                                    )
-                                    .collect()
-                            } else {
-                                let mut sc = route_pool.lease();
-                                jobs.into_iter()
-                                    .map(|(si, rem)| {
-                                        route::route_source_snapshot(
-                                            &ctx, si, potentials, snap, rem, &mut sc,
-                                        )
-                                    })
-                                    .collect()
-                            }
-                        };
-                        // Deterministic merge (each source self-capped against
-                        // raw capacities, exactly the serial per-iteration
-                        // bottleneck rule) + one batched ≤(1+eps) update.
-                        epoch_merge.begin(m);
-                        let self_caps: Vec<f64> = loads
-                            .iter()
-                            .map(|source_loads| {
-                                epoch_merge.accumulate_capped(source_loads, arc_state)
-                            })
-                            .collect();
-                        let theta = epoch_merge.theta(arc_state);
-                        epoch_merge.apply(theta, mwu, &mut flow_arc);
-                        stats.epochs += 1;
-                        // Commit each source's theta·theta_k fraction; what
-                        // remains re-prices against a fresh snapshot next round.
-                        for (&k, &theta_k) in active.iter().zip(&self_caps) {
-                            let f = theta * theta_k;
-                            if f <= 0.0 {
-                                continue;
-                            }
-                            let si = start + k;
-                            for (j, r) in batch_remaining[k].iter_mut().enumerate() {
-                                if *r > 1e-15 {
-                                    let commit = f * *r;
-                                    routed[si][j] += commit;
-                                    *r -= commit;
-                                }
-                            }
-                        }
-                    }
-                    start = end;
-                }
-            }
-            phase += 1;
-            // Convergence guard: past the phase budget, fall back to the exact
-            // serial trajectory for the remainder of the solve.
-            if batch_active && phase >= guard_limit {
-                batch_active = false;
-                stats.guard_triggered = true;
-            }
-            // In a batched solve the serial phase-0 yardstick doubles as a
-            // convergence probe: evaluate once right after it, so instances the
-            // single serial sweep already solves to the target gap (integral
-            // optima hit exactly, e.g. unit-capacity matchings on the hypercube
-            // — measured gap 0.0 after one phase vs >= 0.16 on every shape that
-            // benefits from batching) terminate before any batched epoch runs.
-            // The phase-count guard cannot catch these: its estimate
-            // extrapolates the classical `D(l) >= 1` termination and is blind
-            // to gap-based early exits (measured 45x wall-clock on the
-            // hypercube longest-matching without this check).
-            if phase.is_multiple_of(check_interval) || (batching && phase == 1) {
-                let (lo, up, mu) = evaluate_bounds(
-                    &ctx, potentials, &routed, &flow_arc, mwu, arc_state, sssp, sweep_pool,
-                );
-                if let Some(cap) = capture.as_mut() {
-                    cap.observe(
-                        lo,
-                        up,
-                        mu,
-                        best_lower,
-                        best_upper,
-                        mwu.lens(),
-                        &flow_arc,
-                        &routed,
-                    );
-                }
-                best_lower = best_lower.max(lo);
-                best_upper = best_upper.min(up);
-                if best_upper.is_finite()
-                    && (best_upper - best_lower) / best_upper <= cfg.target_gap
-                {
-                    // No routing has happened since this evaluation, so the
-                    // closing sweep below would recompute the same bounds;
-                    // skip it.
-                    state_evaluated = true;
-                    break 'phases;
-                }
-                if let (Some(budget_ms), Some(start)) = (cfg.time_budget_ms, solve_start) {
-                    if start.elapsed().as_millis() >= u128::from(budget_ms) {
-                        state_evaluated = true;
-                        break 'phases;
-                    }
-                }
-            }
-            // Warm admissibility gate (the lagging reset): past the warm phase
-            // budget without converging, the warm trajectory has fallen behind
-            // the cold extrapolation — discard this attempt and restart cold.
-            if attempt_warm && phase >= warm_guard_limit && !mwu.saturated() {
-                stats.warm_gate = WarmGate::ResetLagging;
-                stats.warm_phases_discarded += phase;
-                total_phases += phase;
-                warm_active = false;
-                epoch_merge.reset();
-                continue 'attempt;
+                route::route_source_walk(&ctx, si, potentials, &mut state, &mut routed[si])
+            };
+            if !ok {
+                break 'phases;
             }
         }
-        stats.phases = total_phases + phase;
-        // A solve that saturated mid-drain leaves partially-drained loads in the
-        // merge accumulator; clear them so the workspace's next solve starts on
-        // the documented invariant.
-        epoch_merge.reset();
-
-        if trace {
-            eprintln!(
-            "TB_SOLVER_TRACE phases={phase} trees={} pot_refreshes={} d_l={:.4} batch={} epochs={} guard_limit={} guard_triggered={} warm_gate={:?}",
-            route::TREE_COUNT
-                .load(std::sync::atomic::Ordering::Relaxed)
-                .wrapping_sub(trace_start.0),
-            route::POT_COUNT
-                .load(std::sync::atomic::Ordering::Relaxed)
-                .wrapping_sub(trace_start.1),
-            mwu.d_l(),
-            stats.batch_size,
-            stats.epochs,
-            stats.guard_limit,
-            stats.guard_triggered,
-            stats.warm_gate,
-        );
-        }
-
-        // Final bound evaluation (unless the state was already evaluated by
-        // the gap check that ended the run).
-        if !state_evaluated {
+        phase += 1;
+        if phase.is_multiple_of(check_interval) {
             let (lo, up, mu) = evaluate_bounds(
                 &ctx, potentials, &routed, &flow_arc, mwu, arc_state, sssp, sweep_pool,
             );
@@ -641,51 +264,71 @@ pub(super) fn solve_problem(
             }
             best_lower = best_lower.max(lo);
             best_upper = best_upper.min(up);
-        }
-        if !best_upper.is_finite() {
-            best_upper = best_lower;
-        }
-        // Warm quality gate: a cold saturation carries the classical `(1+ε)`
-        // guarantee by the delta-init argument; a warm trajectory does not, so
-        // any warm exit that did not *measure* its way under the practical bar
-        // (saturation with a wide gap, or a budget exit a cold run might have
-        // closed) discards the attempt and restarts cold. The bounds themselves
-        // are valid for any positive lengths by LP duality — the gate protects
-        // accuracy parity with cold, not soundness.
-        if attempt_warm {
-            let gap = if best_upper > 0.0 {
-                (best_upper - best_lower) / best_upper
-            } else {
-                0.0
-            };
-            if gap > warm_quality_gap {
-                stats.warm_gate = WarmGate::ResetQuality;
-                stats.warm_phases_discarded += phase;
-                total_phases += phase;
-                warm_active = false;
-                continue 'attempt;
+            if best_upper.is_finite() && (best_upper - best_lower) / best_upper <= cfg.target_gap {
+                // No routing has happened since this evaluation, so the
+                // closing sweep below would recompute the same bounds;
+                // skip it.
+                state_evaluated = true;
+                break 'phases;
+            }
+            if let (Some(budget_ms), Some(start)) = (cfg.time_budget_ms, solve_start) {
+                if start.elapsed().as_millis() >= u128::from(budget_ms) {
+                    state_evaluated = true;
+                    break 'phases;
+                }
             }
         }
-        break 'attempt (best_lower, best_upper, capture);
-    };
+    }
+
+    if trace {
+        eprintln!(
+            "TB_SOLVER_TRACE phases={phase} trees={} pot_refreshes={} d_l={:.4}",
+            route::TREE_COUNT
+                .load(std::sync::atomic::Ordering::Relaxed)
+                .wrapping_sub(trace_start.0),
+            route::POT_COUNT
+                .load(std::sync::atomic::Ordering::Relaxed)
+                .wrapping_sub(trace_start.1),
+            mwu.d_l(),
+        );
+    }
+
+    // Final bound evaluation (unless the state was already evaluated by
+    // the gap check that ended the run).
+    if !state_evaluated {
+        let (lo, up, mu) = evaluate_bounds(
+            &ctx, potentials, &routed, &flow_arc, mwu, arc_state, sssp, sweep_pool,
+        );
+        if let Some(cap) = capture.as_mut() {
+            cap.observe(
+                lo,
+                up,
+                mu,
+                best_lower,
+                best_upper,
+                mwu.lens(),
+                &flow_arc,
+                &routed,
+            );
+        }
+        best_lower = best_lower.max(lo);
+        best_upper = best_upper.min(up);
+    }
+    if !best_upper.is_finite() {
+        best_upper = best_lower;
+    }
 
     // Converged = the accuracy contract held when the loop ended: either the
     // classical FPTAS termination (`D(l) >= 1`, the (1±ε) guarantee) or the
     // target bound gap. A solve that merely ran out of its phase or time
     // budget reports `converged: false`, which the outcome layer maps to
     // `SolveStatus::BudgetExhausted`.
-    stats.converged = mwu.saturated()
-        || best_upper <= 0.0
-        || (best_upper - best_lower) / best_upper <= cfg.target_gap;
-    // Extract the warm artifact for the next solve in a chain: the final
-    // length shape plus the dual bound in unscaled units. Read-only — the
-    // trajectory is identical with extraction on or off.
-    let warm_out = want_warm.then(|| WarmStart {
-        lens: mwu.lens().to_vec(),
-        dual_bound: best_upper * scale,
-        epsilon: eps,
-        phases: stats.phases,
-    });
+    let stats = SolveStats {
+        phases: phase,
+        converged: mwu.saturated()
+            || best_upper <= 0.0
+            || (best_upper - best_lower) / best_upper <= cfg.target_gap,
+    };
     // Undo the demand pre-scaling: bounds computed for demands d*scale are
     // 1/scale times the bounds for d. The certificate needs no scale field:
     // its flow and served amounts are absolute, so the canonical claims come
@@ -698,30 +341,7 @@ pub(super) fn solve_problem(
         },
         stats,
         cert,
-        warm_out,
     )
-}
-
-/// Extrapolates the serial phase count from one serial phase's `D(l)`
-/// progress: `ln D(l)` grows roughly linearly per phase (each phase routes
-/// the full demand once, multiplying lengths by ~`(1+eps)^loads`), so the
-/// phases left to the classical `D(l) >= 1` termination are
-/// `-ln d_after / (ln d_after - ln d_before)`. The estimate is a guard
-/// yardstick, not a bound: gap-based early termination usually fires first,
-/// making the estimate conservative (an upper-ish estimate of serial work),
-/// which only loosens the guard.
-fn estimate_serial_phases(d_before: f64, d_after: f64) -> usize {
-    if !(d_after.is_finite() && d_before > 0.0 && d_after > d_before) {
-        return 1;
-    }
-    if d_after >= 1.0 {
-        return 1;
-    }
-    let per_phase = d_after.ln() - d_before.ln();
-    if per_phase <= 0.0 {
-        return 1;
-    }
-    1 + ((-d_after.ln()) / per_phase).ceil() as usize
 }
 
 /// Evaluates the practical feasible lower bound and the dual upper bound

@@ -9,12 +9,7 @@
 //! one interface:
 //!
 //! * [`ArcLengths`] — the read side: `len_of` plus derived `path_cost`.
-//!   Implemented by plain `[f64]` slices, [`LengthSnapshot`] and
-//!   [`MwuLengths`].
-//! * [`LengthSnapshot`] — an explicitly *frozen* borrow of a length function.
-//!   The batch-parallel routing epochs hand one snapshot to every worker; the
-//!   type exists so "read-only against the epoch snapshot" is visible in
-//!   kernel signatures instead of being a comment.
+//!   Implemented by plain `[f64]` slices and [`MwuLengths`].
 //! * [`MwuLengths`] — the owned state: lengths, capacities (plus cached
 //!   reciprocals), the step size and the incrementally-maintained
 //!   `D(l) = Σ_a len_a · cap_a`. [`reset`](MwuLengths::reset) re-initializes
@@ -27,12 +22,6 @@
 //! the capacity — the arithmetic the path-restricted solver has always used.
 //! The two differ by at most one rounding step per update, but the golden
 //! suite pins results bit-for-bit, so each solver keeps its historical form.
-
-/// Upper limit on the rescaled initial potential `D_0` a warm start may
-/// claim (cold init has `D_0 = m · delta ≪ 1`). A skewed shape whose floor
-/// rescale would already spend a quarter of the saturation budget leaves too
-/// few phases of headroom to be worth anything — reject it and run cold.
-pub const WARM_MAX_D0: f64 = 0.25;
 
 /// Read access to a per-arc (or per-link) length function.
 pub trait ArcLengths {
@@ -49,39 +38,6 @@ impl ArcLengths for [f64] {
     #[inline]
     fn len_of(&self, id: usize) -> f64 {
         self[id]
-    }
-}
-
-/// A frozen, read-only view of a length function.
-///
-/// Holding a `LengthSnapshot` guarantees (by the borrow checker) that the
-/// underlying lengths cannot change while any reader is alive — exactly the
-/// property the batch-parallel routing epochs need: all workers of an epoch
-/// price their trees against the same snapshot, and the merged length update
-/// only happens after the snapshot is dropped.
-#[derive(Debug, Clone, Copy)]
-pub struct LengthSnapshot<'a> {
-    lens: &'a [f64],
-}
-
-impl<'a> LengthSnapshot<'a> {
-    /// Freezes a borrowed length slice.
-    pub fn new(lens: &'a [f64]) -> Self {
-        LengthSnapshot { lens }
-    }
-
-    /// The underlying dense slice (for kernels that index directly, e.g. the
-    /// SSSP relax loop).
-    #[inline]
-    pub fn as_slice(&self) -> &'a [f64] {
-        self.lens
-    }
-}
-
-impl ArcLengths for LengthSnapshot<'_> {
-    #[inline]
-    fn len_of(&self, id: usize) -> f64 {
-        self.lens[id]
     }
 }
 
@@ -131,75 +87,6 @@ impl MwuLengths {
             .sum();
     }
 
-    /// Warm (re-)initialization: project a donor length *shape* onto this
-    /// instance's arcs and rescale it to the delta-init potential scale.
-    /// Returns `true` if the warm shape was accepted; on `false` the state is
-    /// left at the plain cold init (the method always runs
-    /// [`reset`](MwuLengths::reset) first, so rejection is never a partial
-    /// state).
-    ///
-    /// Projection: arc `a` of this instance samples `shape[a · k / m]` where
-    /// `k = shape.len()` — nearest-index resampling, exact when the arc counts
-    /// match (adjacent ladder rungs differ slightly). Rescaling (see
-    /// [`WarmRescale`]) maps the sampled shape down to the `delta` scale so
-    /// saturation at `D(l) ≥ 1` keeps its meaning. A shape is rejected when
-    /// any sampled potential `s_a · cap_a` is non-finite or non-positive, or
-    /// when the rescaled initial potential `D_0` would exceed
-    /// [`WARM_MAX_D0`] — a warm start may not consume the potential headroom
-    /// the phases need, else a garbage shape saturates instantly with
-    /// vacuous bounds.
-    ///
-    /// # Panics
-    /// Panics if `eps` is outside `(0, 0.5)` (same contract as `reset`).
-    pub fn reset_warm<I: IntoIterator<Item = f64>>(
-        &mut self,
-        eps: f64,
-        caps: I,
-        shape: &[f64],
-        rescale: WarmRescale,
-    ) -> bool {
-        self.reset(eps, caps);
-        let m = self.caps.len();
-        let k = shape.len();
-        if m == 0 || k == 0 {
-            return false;
-        }
-        let delta = (m as f64 / (1.0 - eps)).powf(-1.0 / eps);
-        // Per-arc potentials of the projected shape: pot_a = shape[a·k/m] · cap_a.
-        let mut min_pot = f64::INFINITY;
-        let mut sum_pot = 0.0f64;
-        for a in 0..m {
-            let s = shape[a * k / m];
-            let pot = s * self.caps[a];
-            if !pot.is_finite() || pot <= 0.0 {
-                return false;
-            }
-            min_pot = min_pot.min(pot);
-            sum_pot += pot;
-        }
-        let t = match rescale {
-            WarmRescale::Floor => delta / min_pot,
-            WarmRescale::Mean => m as f64 * delta / sum_pot,
-        };
-        if !t.is_finite() || t <= 0.0 {
-            return false;
-        }
-        let d0 = t * sum_pot;
-        if !d0.is_finite() || d0 >= WARM_MAX_D0 {
-            return false;
-        }
-        for a in 0..m {
-            self.lens[a] = t * shape[a * k / m];
-        }
-        self.d_l = self
-            .lens
-            .iter()
-            .zip(self.caps.iter())
-            .map(|(l, c)| l * c)
-            .sum();
-        true
-    }
-
     /// Number of arcs/links the state covers.
     pub fn num_arcs(&self) -> usize {
         self.caps.len()
@@ -235,19 +122,11 @@ impl MwuLengths {
         self.d_l >= 1.0
     }
 
-    /// Freezes the current lengths into a read-only snapshot. While the
-    /// snapshot (or anything derived from it) is alive, no update can run.
-    #[inline]
-    pub fn snapshot(&self) -> LengthSnapshot<'_> {
-        LengthSnapshot::new(&self.lens)
-    }
-
     /// The multiplicative update for routing `load` over arc `id`:
     /// `len *= 1 + eps · load / cap` in the reciprocal form
     /// (`eps · load · (1/cap)`), maintaining `D(l)` incrementally. One
     /// definition serves every Fleischer routing kernel — per-destination
-    /// walk, aggregated tree, and the batched epoch merge — keeping them
-    /// arithmetically identical.
+    /// walk and aggregated tree — keeping them arithmetically identical.
     #[inline]
     pub fn apply(&mut self, id: usize, load: f64) {
         let old = self.lens[id];
@@ -281,122 +160,6 @@ impl MwuLengths {
 }
 
 impl ArcLengths for MwuLengths {
-    #[inline]
-    fn len_of(&self, id: usize) -> f64 {
-        self.lens[id]
-    }
-}
-
-/// A portable warm-start artifact extracted from a completed solve: the final
-/// MWU length *shape* plus the certified dual bound it reached.
-///
-/// The raw lengths are useless across instances — they sit at the saturation
-/// scale `D(l) ≈ 1` of the *previous* solve, and adjacent ladder rungs have
-/// different arc counts. What transfers is the **shape**: which arcs the MWU
-/// dynamics priced up (bottlenecks) relative to the rest.
-/// [`MwuLengths::reset_warm`] projects the shape onto the new arc set and
-/// rescales it back down to the delta-init potential scale, so the classical
-/// machinery (saturation at `D(l) ≥ 1`, the dual bound `D(l)/α`) runs
-/// unchanged. Both throughput bounds the solver reports — the `μ`-rescaled
-/// primal and `D(l)/α` dual — are valid for *any* positive length function by
-/// LP duality, so a warm shape can never produce a wrong bound; only the
-/// classical saturation-implies-`(1+ε)` argument assumes the delta init, and
-/// the solver re-checks that with a measured-gap gate (see `WarmGate`).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct WarmStart {
-    /// Final per-arc lengths of the donor solve (the shape to project).
-    pub lens: Vec<f64>,
-    /// The donor's certified dual (upper) bound, in unscaled throughput units.
-    pub dual_bound: f64,
-    /// The step size the donor ran with (recorded for diagnostics; the
-    /// recipient rescales to its own `eps`/`delta`).
-    pub epsilon: f64,
-    /// The donor's total phase count. Warm chains hand near-identical
-    /// problems along, so this approximates the recipient's *cold* cost and
-    /// calibrates the warm admissibility budget far better than the
-    /// saturation extrapolation (gap exits fire long before saturation).
-    /// `0` (an artifact predating the field, or a donor that solved
-    /// trivially) falls back to the phase-0 extrapolation.
-    pub phases: usize,
-}
-
-impl WarmStart {
-    /// Whether the artifact carries a usable shape.
-    pub fn is_usable(&self) -> bool {
-        !self.lens.is_empty() && self.lens.iter().all(|l| l.is_finite() && *l > 0.0)
-    }
-}
-
-/// How [`MwuLengths::reset_warm`] rescales the projected shape down to the
-/// delta-init potential scale. A knob for `batch_probe`; `Mean` ships.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum WarmRescale {
-    /// Scale so the *smallest* per-arc potential equals `delta`:
-    /// `min_a len_a · cap_a = delta`, i.e. every arc starts at or above its
-    /// cold init `delta / cap_a`. `D_0 ≥ m · delta` as in the cold start, and
-    /// no arc begins cheaper than the classical analysis assumes — but a
-    /// skewed donor (saturated arcs priced up ~25 orders of magnitude over
-    /// untouched ones) blows `D_0` past [`WARM_MAX_D0`] and gets rejected.
-    Floor,
-    /// Scale so the total potential matches the cold init exactly:
-    /// `D_0 = m · delta`. Arcs the donor priced up start *above* `delta/cap`,
-    /// quiet arcs start below — a sharper shape with full saturation
-    /// headroom. Individual arcs may undercut the classical per-arc floor,
-    /// which is safe because the returned bounds are measured (the primal
-    /// lower bound self-normalizes by actual congestion, the dual holds for
-    /// any positive lengths) and the quality gate enforces accuracy parity.
-    #[default]
-    Mean,
-}
-
-/// An **owned, refreshable** copy of a length function: the pricing buffer of
-/// the bounded-staleness async mode of the work-stealing MWU rounds.
-///
-/// [`LengthSnapshot`] freezes lengths *by borrowing* — sound, but the borrow
-/// pins [`MwuLengths`] read-only for the snapshot's whole lifetime, which
-/// forces synchronous rounds (price, drop the snapshot, update, repeat). The
-/// async mode instead prices against this materialized copy, refreshed every
-/// `S` rounds ([`refresh_from`](StaleLengths::refresh_from)): length updates
-/// proceed every round while workers read lengths **at most `S` rounds
-/// stale**. Staleness is sound for the same reason tree reuse is — lengths
-/// only ever grow, and every refresh copies a pointwise-larger function, so
-/// distances recorded under any pricing buffer lower-bound the true current
-/// distances. The step-size bound is unaffected: commits are capped against
-/// the *true* capacities in the merge, never against these lengths.
-#[derive(Debug, Clone, Default)]
-pub struct StaleLengths {
-    lens: Vec<f64>,
-}
-
-impl StaleLengths {
-    /// Creates an empty buffer; call [`refresh_from`](Self::refresh_from)
-    /// before pricing against it.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Copies the current lengths into the buffer (reusing its allocation),
-    /// resetting staleness to zero rounds.
-    pub fn refresh_from(&mut self, lens: &[f64]) {
-        self.lens.clear();
-        self.lens.extend_from_slice(lens);
-    }
-
-    /// The dense buffered slice (what SSSP kernels index).
-    #[inline]
-    pub fn as_slice(&self) -> &[f64] {
-        &self.lens
-    }
-
-    /// Freezes the buffered lengths into the snapshot type the pricing
-    /// kernels take.
-    #[inline]
-    pub fn snapshot(&self) -> LengthSnapshot<'_> {
-        LengthSnapshot::new(&self.lens)
-    }
-}
-
-impl ArcLengths for StaleLengths {
     #[inline]
     fn len_of(&self, id: usize) -> f64 {
         self.lens[id]
@@ -441,10 +204,11 @@ mod tests {
         let mut mwu = MwuLengths::new();
         mwu.reset(0.1, [1.0, 1.0, 1.0]);
         mwu.apply(1, 1.0);
-        let snap = mwu.snapshot();
-        let cost = snap.path_cost([0, 1]);
+        let cost = mwu.path_cost([0, 1]);
         assert_eq!(cost, mwu.len_of(0) + mwu.len_of(1));
-        // The slice trait impl agrees.
+        // A copied snapshot of the lengths, read through the slice trait
+        // impl, agrees.
+        let snap = mwu.lens().to_vec();
         assert_eq!(snap.as_slice().path_cost([0, 1]), cost);
     }
 
@@ -475,123 +239,5 @@ mod tests {
     #[should_panic]
     fn bad_epsilon_rejected() {
         MwuLengths::new().reset(0.7, [1.0]);
-    }
-
-    #[test]
-    fn warm_reset_floor_preserves_cold_per_arc_floor() {
-        // Donor shape: arc 1 was priced up 4x relative to arcs 0/2.
-        let shape = [1.0, 4.0, 1.0];
-        let mut warm = MwuLengths::new();
-        let ok = warm.reset_warm(0.1, [1.0, 2.0, 4.0], &shape, WarmRescale::Floor);
-        assert!(ok);
-        let mut cold = MwuLengths::new();
-        cold.reset(0.1, [1.0, 2.0, 4.0]);
-        // Floor rescale: min per-arc potential equals delta, so every arc's
-        // potential is >= its cold-init potential (which is exactly delta).
-        let delta_pot = cold.len_of(0) * cold.cap(0);
-        let min_pot = (0..3)
-            .map(|a| warm.len_of(a) * warm.cap(a))
-            .fold(f64::INFINITY, f64::min);
-        assert!((min_pot - delta_pot).abs() <= 1e-18 * delta_pot.max(1.0));
-        for a in 0..3 {
-            assert!(warm.len_of(a) * warm.cap(a) >= delta_pot * (1.0 - 1e-12));
-        }
-        // The shape survives: arc 1 is 4x arc 0 in potential-per-capacity.
-        assert!((warm.len_of(1) * warm.cap(1)) / (warm.len_of(0) * warm.cap(0)) > 3.9);
-        assert!(!warm.saturated());
-    }
-
-    #[test]
-    fn warm_reset_mean_matches_cold_total_potential() {
-        let shape = [1.0, 4.0, 1.0, 2.0];
-        let mut warm = MwuLengths::new();
-        assert!(warm.reset_warm(0.1, [1.0, 1.0, 2.0, 2.0], &shape, WarmRescale::Mean));
-        let mut cold = MwuLengths::new();
-        cold.reset(0.1, [1.0, 1.0, 2.0, 2.0]);
-        assert!((warm.d_l() - cold.d_l()).abs() <= 1e-12 * cold.d_l());
-    }
-
-    #[test]
-    fn warm_reset_projects_across_arc_counts() {
-        // Donor had 2 arcs, recipient has 4: nearest-index resampling maps
-        // arcs {0,1} -> shape[0] and {2,3} -> shape[1].
-        let shape = [1.0, 3.0];
-        let mut warm = MwuLengths::new();
-        assert!(warm.reset_warm(0.1, [1.0; 4], &shape, WarmRescale::Floor));
-        assert_eq!(warm.len_of(0).to_bits(), warm.len_of(1).to_bits());
-        assert_eq!(warm.len_of(2).to_bits(), warm.len_of(3).to_bits());
-        assert!((warm.len_of(2) / warm.len_of(0) - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn warm_reset_rejects_garbage_and_falls_back_cold() {
-        let mut cold = MwuLengths::new();
-        cold.reset(0.1, [1.0, 2.0]);
-        for bad in [
-            vec![],                   // empty shape
-            vec![0.0, 1.0],           // non-positive entry
-            vec![-1.0, 1.0],          // negative entry
-            vec![f64::NAN, 1.0],      // non-finite entry
-            vec![f64::INFINITY, 1.0], // non-finite entry
-        ] {
-            let mut warm = MwuLengths::new();
-            let ok = warm.reset_warm(0.1, [1.0, 2.0], &bad, WarmRescale::Floor);
-            assert!(!ok, "shape {bad:?} should be rejected");
-            // Rejection leaves the plain cold init, bit for bit.
-            assert_eq!(warm.lens(), cold.lens());
-            assert_eq!(warm.d_l().to_bits(), cold.d_l().to_bits());
-        }
-    }
-
-    #[test]
-    fn warm_reset_rejects_headroom_consuming_skew() {
-        // Floor rescale pins the min potential at delta; an extreme outlier
-        // then pushes D_0 past WARM_MAX_D0 and must be rejected.
-        let m = 4usize;
-        let delta = (m as f64 / 0.9).powf(-10.0);
-        let blowup = 0.5 / delta; // one arc alone would carry D_0 ≈ 0.5
-        let shape = [1.0, 1.0, 1.0, blowup];
-        let mut warm = MwuLengths::new();
-        assert!(!warm.reset_warm(0.1, [1.0; 4], &shape, WarmRescale::Floor));
-        let mut cold = MwuLengths::new();
-        cold.reset(0.1, [1.0; 4]);
-        assert_eq!(warm.lens(), cold.lens());
-    }
-
-    #[test]
-    fn warm_start_usability() {
-        assert!(!WarmStart::default().is_usable());
-        let ws = WarmStart {
-            lens: vec![1.0, 2.0],
-            dual_bound: 1.5,
-            epsilon: 0.1,
-            phases: 8,
-        };
-        assert!(ws.is_usable());
-        let bad = WarmStart {
-            lens: vec![1.0, f64::NAN],
-            ..ws
-        };
-        assert!(!bad.is_usable());
-    }
-
-    #[test]
-    fn stale_lengths_lag_until_refreshed() {
-        let mut mwu = MwuLengths::new();
-        mwu.reset(0.1, [1.0, 1.0]);
-        let mut stale = StaleLengths::new();
-        stale.refresh_from(mwu.lens());
-        assert_eq!(stale.as_slice(), mwu.lens());
-        mwu.apply(0, 1.0);
-        // The buffer holds the pre-update (pointwise smaller) function.
-        assert!(stale.len_of(0) < mwu.len_of(0));
-        assert_eq!(stale.len_of(1).to_bits(), mwu.len_of(1).to_bits());
-        stale.refresh_from(mwu.lens());
-        assert_eq!(stale.as_slice(), mwu.lens());
-        // The snapshot view indexes the same buffer.
-        assert_eq!(
-            stale.snapshot().len_of(0).to_bits(),
-            mwu.len_of(0).to_bits()
-        );
     }
 }

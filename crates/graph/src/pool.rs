@@ -1,10 +1,10 @@
 //! A check-out/check-in pool for per-worker scratch state.
 //!
-//! The flow solver's parallel sweeps (dual-bound evaluation, potential
-//! refreshes, and the batch-parallel routing epochs) hand each rayon worker
-//! its own scratch workspace via `map_init`. Building that workspace fresh in
-//! every `map_init` call allocates per parallel region — dozens of times per
-//! solve for the epoch fan-out — so the regions draw from a [`WorkspacePool`]
+//! The flow solver's parallel sweeps (dual-bound evaluation and potential
+//! refreshes) hand each rayon worker its own scratch workspace via
+//! `map_init`. Building that workspace fresh in every `map_init` call
+//! allocates per parallel region — once per bound evaluation or refresh in
+//! every solve — so the regions draw from a [`WorkspacePool`]
 //! instead: a worker leases a workspace at chunk start and returns it when the
 //! chunk ends, and once the pool has seen as many concurrent workers as the
 //! process will ever run, leasing stops allocating entirely.
@@ -15,51 +15,9 @@
 //! so which worker gets which pooled instance can never affect values — the
 //! determinism the solver's bit-identity tests pin.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use crate::SsspWorkspace;
-
-/// A single-use work-claiming queue over a fixed, pre-built task list: the
-/// "shared deque" of the flow solver's work-stealing pricing rounds.
-///
-/// The task list itself is deterministic (built by one thread before the
-/// parallel region); the queue only hands out *indices* into it, one per
-/// [`claim`](ClaimQueue::claim), via an atomic cursor. Which worker claims
-/// which index varies run to run — that is the stealing — but because every
-/// task's **result slot and fold position are keyed by the claimed index**,
-/// not by the claiming worker, downstream reductions stay bit-identical for
-/// any worker count. A task list is cheaper and lighter than a real deque:
-/// there is no push side, so a fetch-add is the whole protocol.
-#[derive(Debug)]
-pub struct ClaimQueue {
-    next: AtomicUsize,
-    len: usize,
-}
-
-impl ClaimQueue {
-    /// A queue over task indices `0..len`.
-    pub fn new(len: usize) -> Self {
-        ClaimQueue {
-            next: AtomicUsize::new(0),
-            len,
-        }
-    }
-
-    /// Claims the next unclaimed task index, or `None` once the list is
-    /// drained. Each index in `0..len` is handed out exactly once across all
-    /// workers.
-    #[inline]
-    pub fn claim(&self) -> Option<usize> {
-        let i = self.next.fetch_add(1, Ordering::Relaxed);
-        (i < self.len).then_some(i)
-    }
-
-    /// Number of tasks claimed so far (saturating at the queue length).
-    pub fn claimed(&self) -> usize {
-        self.next.load(Ordering::Relaxed).min(self.len)
-    }
-}
 
 /// A pool of reusable scratch workspaces, one leased per worker at a time.
 ///
@@ -150,37 +108,6 @@ impl<T: Default> Drop for PooledWorkspace<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn claim_queue_hands_out_each_index_once() {
-        let q = ClaimQueue::new(5);
-        let mut seen: Vec<usize> = std::iter::from_fn(|| q.claim()).collect();
-        seen.sort_unstable();
-        assert_eq!(seen, vec![0, 1, 2, 3, 4]);
-        assert_eq!(q.claim(), None);
-        assert_eq!(q.claimed(), 5);
-    }
-
-    #[test]
-    fn claim_queue_is_disjoint_across_threads() {
-        let q = ClaimQueue::new(1000);
-        let claims: Vec<Vec<usize>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..4)
-                .map(|_| s.spawn(|| std::iter::from_fn(|| q.claim()).collect::<Vec<_>>()))
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        let mut all: Vec<usize> = claims.into_iter().flatten().collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..1000).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn empty_claim_queue_yields_nothing() {
-        let q = ClaimQueue::new(0);
-        assert_eq!(q.claim(), None);
-        assert_eq!(q.claimed(), 0);
-    }
 
     #[test]
     fn lease_returns_to_pool_on_drop() {

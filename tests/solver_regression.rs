@@ -10,9 +10,20 @@
 //! * repeated solves through one reused [`SolverWorkspace`] must reproduce
 //!   fresh-workspace results bit-for-bit, in any interleaving order;
 //! * the aggregated dense-TM routing kernel must match the per-destination
-//!   walk within the FPTAS gap on every dense instance of the grid.
+//!   walk within the FPTAS gap on every dense instance of the grid;
+//! * solves large enough to fan the dual-bound sweep and the potential
+//!   refresh out to the thread pool must be bit-identical to the same solves
+//!   with every parallel region run inline. CI re-runs this binary at pool
+//!   widths 1, 2 and 8, so the asserted values come from three thread
+//!   counts.
 
-use tb_flow::{ExactLpSolver, FleischerConfig, FleischerSolver, SolverWorkspace};
+use rayon::prelude::*;
+use tb_flow::fleischer::PAR_MIN_SWEEP_WORK;
+use tb_flow::{
+    ExactLpSolver, FleischerConfig, FleischerSolver, FlowProblem, SolveStats, SolverWorkspace,
+    ThroughputBounds,
+};
+use tb_graph::Graph;
 use tb_topology::hypercube::hypercube;
 use tb_topology::jellyfish::jellyfish;
 use tb_topology::Topology;
@@ -161,4 +172,58 @@ fn sparse_and_dense_tms_agree_with_exact_on_jellyfish() {
         "lower {} vs exact {exact}",
         b.lower
     );
+}
+
+/// Solves on a pool worker: with a pool of >= 2 workers the job is dispatched
+/// to one, and every nested parallel region inside the solve then runs inline
+/// (the vendored rayon's reentrancy rule). Two jobs are submitted because a
+/// single-item fan-out short-circuits to the caller thread; with a 1-wide
+/// pool everything is inline anyway.
+fn solve_on_worker(
+    solver: &FleischerSolver,
+    g: &Graph,
+    tm: &TrafficMatrix,
+) -> (ThroughputBounds, SolveStats) {
+    let results: Vec<Option<(ThroughputBounds, SolveStats)>> = (0..2usize)
+        .into_par_iter()
+        .map(|i| (i == 0).then(|| solver.solve_with_stats(g, tm, &mut SolverWorkspace::new())))
+        .collect();
+    results[0].expect("job 0 computes the solve")
+}
+
+#[test]
+fn serial_solves_bit_identical_parallel_vs_inline_sweeps() {
+    // A 128-switch jellyfish: 128 sources over 1024 arcs puts both the
+    // single-destination longest-matching TM (potential refresh + bound
+    // sweep) and the dense all-to-all TM (bound sweep over aggregated-kernel
+    // sources) at the parallel work threshold, so on a wide pool the direct
+    // solve fans out while the on-worker solve runs every region inline.
+    let topo = jellyfish(128, 8, 1, 5);
+    let cfg = FleischerConfig::fast().with_auto_aggregation(topo.num_switches());
+    let solver = FleischerSolver::new(cfg);
+    for (name, tm) in [
+        (
+            "longest_matching",
+            longest_matching(&topo.graph, &topo.servers, true),
+        ),
+        ("a2a", all_to_all(&topo.servers)),
+    ] {
+        let prob = FlowProblem::new(&topo.graph, &tm);
+        assert!(
+            prob.sources().len() * prob.num_arcs() >= PAR_MIN_SWEEP_WORK,
+            "{name}: {} sources x {} arcs stays below the parallel sweep threshold",
+            prob.sources().len(),
+            prob.num_arcs()
+        );
+        let (direct, direct_stats) =
+            solver.solve_with_stats(&topo.graph, &tm, &mut SolverWorkspace::new());
+        let (inline, inline_stats) = solve_on_worker(&solver, &topo.graph, &tm);
+        assert!(direct.lower > 0.0, "{name}: {direct:?}");
+        assert_eq!(
+            (direct.lower.to_bits(), direct.upper.to_bits()),
+            (inline.lower.to_bits(), inline.upper.to_bits()),
+            "{name}: parallel sweeps {direct:?} vs inline {inline:?}"
+        );
+        assert_eq!(direct_stats, inline_stats, "{name}");
+    }
 }
